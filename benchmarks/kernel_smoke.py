@@ -1,32 +1,25 @@
 #!/usr/bin/env python
-"""Kernel smoke check: vector and python walks agree; vector is faster.
+"""Kernel smoke check: per-kind throughput of the chunked trace walk.
 
-Runs the reference two-figure sweep (fig9 coverage + fig10 timing) under
-both trace-walk kernels (``--kernel=python`` and ``--kernel=vector``,
-see :mod:`repro.kernels`) over one shared warm trace store and asserts
-the results are **bit-identical** — the vector kernel is an
-optimisation, never a semantic change.
+Records the reference two-figure sweep's traces (fig9 coverage + fig10
+timing) into one trace store, then measures warm replay throughput per
+job kind and writes the perf-trajectory record. The measurement uses
+the engine's serial fan-out (``--jobs 1`` default): one chunk decode +
+pre-pass feeds every consumer of a trace key, which is the hot path the
+chunked walk batches (a worker pool instead re-decodes per process and
+measures multiprocessing overhead). Each measurement takes the best of
+``--repeat`` runs so scheduler noise on shared CI runners does not
+mask the walk's real cost.
 
-Then measures replay throughput per job kind for each kernel and logs
-the speedup ratio. The measurement uses the engine's serial fan-out
-(``--jobs 1`` default): one chunk decode + pre-pass feeds every
-consumer of a trace key, which is precisely the fast path the kernel
-layer batches (a worker pool instead re-decodes per process and
-measures multiprocessing overhead, not the kernel). Each measurement
-takes the best of ``--repeat`` runs so scheduler noise on shared CI
-runners does not mask the kernels' real relative cost.
-
-Also emits the perf-trajectory record (ROADMAP item 5): the headline
-``kinds`` table carries the *vector* kernel's throughput — the default
-kernel whenever numpy is installed — alongside both kernels' numbers
-and the ratio. The record's PR number is parsed from the
-``--bench-out`` filename (``BENCH_<pr>.json``);
-``tools/bench_compare.py --require-speedup`` gates on it.
+The record's ``kinds`` table (``coverage``, ``timing``) is what
+``tools/bench_compare.py`` reads; its PR number is parsed from the
+``--bench-out`` filename (``BENCH_<pr>.json``). Parity of the walk
+with a per-access reference loop is asserted by ``tests/test_kernels.py``.
 
 Used by CI; also runnable by hand::
 
     python benchmarks/kernel_smoke.py
-    python benchmarks/kernel_smoke.py --bench-out BENCH_8.json
+    python benchmarks/kernel_smoke.py --bench-out BENCH_12.json
 """
 
 from __future__ import annotations
@@ -44,7 +37,6 @@ sys.path.insert(0, str(SRC))
 from repro.engine import Engine, JobGraph  # noqa: E402
 from repro.experiments import fig9, fig10  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
-from repro.kernels import KERNEL_PYTHON, KERNEL_VECTOR, vector_available  # noqa: E402
 
 from faults_smoke import pr_number_from_bench_out  # noqa: E402
 
@@ -57,8 +49,7 @@ def declare(config: ExperimentConfig) -> JobGraph:
 
 
 def _kind_throughput(config: ExperimentConfig, store_dir: str, jobs: int,
-                     kernel: str, repeat: int,
-                     ) -> "dict[str, dict[str, float]]":
+                     repeat: int) -> "dict[str, dict[str, float]]":
     """Best-of-``repeat`` accesses/sec per job kind over the warm store."""
     by_kind: "dict[str, list]" = {}
     for job in declare(config):
@@ -70,7 +61,7 @@ def _kind_throughput(config: ExperimentConfig, store_dir: str, jobs: int,
             graph = JobGraph()
             for job in kind_jobs:
                 graph.add(job)
-            engine = Engine(jobs=jobs, trace_store=store_dir, kernel=kernel)
+            engine = Engine(jobs=jobs, trace_store=store_dir)
             started = time.perf_counter()
             engine.run(graph)
             elapsed = time.perf_counter() - started
@@ -93,9 +84,9 @@ def main(argv=None) -> int:
                         help="workload subset (default: db2 qry2)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="engine workers; 1 = serial fan-out, the "
-                        "kernel's shared-decode fast path (default: 1)")
+                        "walk's shared-decode fast path (default: 1)")
     parser.add_argument("--repeat", type=int, default=3,
-                        help="timing runs per kind/kernel; best is kept "
+                        help="timing runs per kind; best is kept "
                         "(default: 3)")
     parser.add_argument("--bench-out", default=None, metavar="PATH",
                         help="also write the perf-trajectory JSON record")
@@ -111,47 +102,14 @@ def main(argv=None) -> int:
     config.trace_length = args.length
     config.workloads = list(args.workloads)
 
-    if not vector_available():
-        print("[kernel_smoke: numpy not installed — the vector kernel "
-              "will fall back to the python decode path and the speedup "
-              "ratio will be ~1.0]", file=sys.stderr)
-
-    failures = []
     with tempfile.TemporaryDirectory(prefix="repro-kernel-") as store_dir:
-        # parity: the whole sweep, both kernels, one recorded trace set
-        results = {}
-        for kernel in (KERNEL_PYTHON, KERNEL_VECTOR):
-            engine = Engine(jobs=args.jobs, trace_store=store_dir,
-                            kernel=kernel)
-            started = time.perf_counter()
-            results[kernel] = dict(engine.run(declare(config)))
-            wall = time.perf_counter() - started
-            print(f"[{kernel:<7}] {engine.stats.format()} ({wall:.1f}s)")
-        if results[KERNEL_PYTHON] != results[KERNEL_VECTOR]:
-            differing = sorted(
-                str(key) for key in results[KERNEL_PYTHON]
-                if results[KERNEL_PYTHON][key] != results[KERNEL_VECTOR].get(key)
-            )
-            failures.append(
-                "vector-kernel results differ from the python walk "
-                f"({len(differing)} job(s): {', '.join(differing[:3])} ...)"
-            )
-
-        # throughput: the store is warm now; time each kernel per kind
-        kinds = {
-            kernel: _kind_throughput(
-                config, store_dir, args.jobs, kernel, args.repeat
-            )
-            for kernel in (KERNEL_PYTHON, KERNEL_VECTOR)
-        }
-
-    speedup = {}
-    for kind in sorted(kinds[KERNEL_PYTHON]):
-        base = kinds[KERNEL_PYTHON][kind]["accesses_per_second"]
-        fast = kinds[KERNEL_VECTOR][kind]["accesses_per_second"]
-        speedup[kind] = round(fast / base, 2)
-        print(f"[speedup  ] {kind:<10} python {base:>9.1f} acc/s → "
-              f"vector {fast:>9.1f} acc/s ({speedup[kind]:.2f}x)")
+        # record every trace once; the timed runs below replay them
+        engine = Engine(jobs=args.jobs, trace_store=store_dir)
+        started = time.perf_counter()
+        engine.run(declare(config))
+        wall = time.perf_counter() - started
+        print(f"[record ] {engine.stats.format()} ({wall:.1f}s)")
+        kinds = _kind_throughput(config, store_dir, args.jobs, args.repeat)
 
     record = {
         "bench": "kernel_smoke",
@@ -165,25 +123,17 @@ def main(argv=None) -> int:
             "repeat": args.repeat,
             "statistic": "best",
         },
-        # headline table (bench_compare reads this): the vector kernel,
-        # which is the default whenever numpy is installed
-        "kinds": kinds[KERNEL_VECTOR],
-        "kernels": kinds,
-        "speedup": speedup,
-        "vector_available": vector_available(),
+        # the table bench_compare reads
+        "kinds": kinds,
     }
     print(json.dumps(record, indent=2))
     if args.bench_out:
         Path(args.bench_out).write_text(json.dumps(record, indent=2) + "\n")
         print(f"[bench record written to {args.bench_out}]", file=sys.stderr)
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("OK: vector kernel bit-identical to the python walk on the "
-          "reference sweep; speedup "
-          + ", ".join(f"{kind} {ratio:.2f}x" for kind, ratio in speedup.items()))
+    print("OK: " + ", ".join(
+        f"{kind} {row['accesses_per_second']:.1f} acc/s"
+        for kind, row in kinds.items()
+    ))
     return 0
 
 

@@ -18,7 +18,6 @@ from time import perf_counter
 from typing import Any, Callable, Iterable, Optional
 
 from repro.common.config import SystemConfig
-from repro.kernels import KERNEL_VECTOR, resolve_kernel
 from repro.kernels.prepass import AccessChunk, iter_trace_chunks
 from repro.memsys.hierarchy import Hierarchy, ServiceLevel
 from repro.prefetch.sms.generations import ActiveGenerationTable
@@ -63,7 +62,7 @@ class StreamingAnalysis(abc.ABC):
     def update_block(self, chunk: AccessChunk) -> None:
         """Observe one whole :class:`~repro.kernels.AccessChunk`.
 
-        The chunk-level entry point for the vector kernel: the lifecycle
+        The chunk-level entry point of the walk: the lifecycle
         check runs once per chunk and the per-access hook is driven by a
         C-level ``map``. The base implementation feeds ``_update`` in
         order — bit-identical to calling :meth:`update` per access —
@@ -96,44 +95,26 @@ class StreamingAnalysis(abc.ABC):
         self._finalized = True
         return self._finalize()
 
-    def consume(
-        self, accesses: Iterable[MemoryAccess], kernel: Optional[str] = None
-    ) -> Any:
+    def consume(self, accesses: Iterable[MemoryAccess]) -> Any:
         """Drive the full lifecycle over ``accesses`` and return the result.
 
         Args:
             accesses: any iterable of trace records (``Trace``,
-                ``TraceSource``, generator, ...), walked exactly once.
-            kernel: trace-walk kernel (see :func:`repro.kernels.resolve_kernel`);
-                the vector kernel pumps :meth:`update_block` per chunk,
-                the python kernel :meth:`update` per record —
-                bit-identical results either way.
+                ``TraceSource``, generator, ...), walked exactly once,
+                chunk-at-a-time through :meth:`update_block`.
 
         Returns:
             Whatever :meth:`finalize` returns.
         """
+        update_block = self.update_block
         timer = phases_active()
-        if resolve_kernel(kernel) == KERNEL_VECTOR:
-            update_block = self.update_block
-            if timer is None:
-                for chunk in iter_trace_chunks(accesses):
-                    update_block(chunk)
-                return self.finalize()
+        if timer is None:
             for chunk in iter_trace_chunks(accesses):
-                start = perf_counter()
                 update_block(chunk)
-                timer.add(PHASE_WALK, perf_counter() - start)
-        else:
-            update = self.update
-            if timer is None:
-                for access in accesses:
-                    update(access)
-                return self.finalize()
-            # whole-loop timing (trace production included): per-record
-            # timer calls would dwarf the walk itself
+            return self.finalize()
+        for chunk in iter_trace_chunks(accesses):
             start = perf_counter()
-            for access in accesses:
-                update(access)
+            update_block(chunk)
             timer.add(PHASE_WALK, perf_counter() - start)
         start = perf_counter()
         result = self.finalize()

@@ -20,12 +20,11 @@ Trace generation is scheduled as a shared resource (the *trace plane*):
   recorded to disk, and **parallel** workers replay the recorded trace
   instead of regenerating it per job — at most one generation plus N
   replays for N jobs over one key, across any number of invocations.
-* With both (``jobs > 1`` **and** a store), the replays collapse too:
-  jobs sharing a trace key run as a **broadcast wave** — one reader
-  process walks the key and tees every chunk to the consumers over a
-  shared-memory ring (:mod:`repro.tracestore.broadcast`), so an N-job
-  sweep over one key costs exactly one trace walk total. See the
-  ``broadcast`` argument (``--broadcast`` / ``REPRO_BROADCAST``).
+
+Every mode walks a trace the same way: chunk-at-a-time through
+:func:`~repro.kernels.prepass.iter_trace_chunks`, each consumer's
+``update_block`` driving the per-access ``step`` closures (see
+:mod:`repro.engine.fanout`).
 
 Execution is **fault-tolerant** (:mod:`repro.engine.faults`): every job
 runs under a :class:`RetryPolicy` (attempts, deterministic-jitter
@@ -59,10 +58,10 @@ from repro.engine.cache import ResultCache
 from repro.engine.exec import (
     default_materialize,
     execute_job,
-    execute_jobs_broadcast,
     execute_job_for_pool,
     record_trace_for_pool,
 )
+# module-level name: perfbench/layers.py wraps engine.run_group
 from repro.engine.fanout import run_group
 from repro.engine.faultinject import active_plan, maybe_kill_run
 from repro.engine.faults import (
@@ -74,15 +73,8 @@ from repro.engine.faults import (
 )
 from repro.engine.graph import JobGraph
 from repro.engine.job import SimJob
-from repro.kernels import resolve_kernel
 from repro.telemetry import MetricsRegistry, RunTelemetry, process_registry
 from repro.tracestore import TraceStore
-from repro.tracestore.broadcast import (
-    MODE_OFF,
-    MODE_ON,
-    broadcast_supported,
-    resolve_broadcast,
-)
 from repro.workloads.registry import stream_workload
 
 
@@ -90,12 +82,14 @@ from repro.workloads.registry import stream_workload
 _STAT_FIELDS = (
     "requested", "deduplicated", "cache_hits", "executed",
     "generation_passes", "passes_saved", "store_hits", "store_misses",
-    "bytes_replayed", "broadcast_waves", "broadcast_chunks",
-    "bytes_shared", "broadcast_fallbacks", "retries", "requeued",
-    "timeouts", "pool_respawns", "quarantined", "cache_corrupt",
-    "replay_fallbacks", "isolation_fallbacks", "serial_fallbacks",
-    "failures",
+    "bytes_replayed", "retries", "requeued", "timeouts", "pool_respawns",
+    "quarantined", "cache_corrupt", "replay_fallbacks",
+    "isolation_fallbacks", "serial_fallbacks", "failures",
 )
+
+#: as_dict() keys that are always 0; perfbench/checks.py's ENGINE_COUNTS
+#: reads them
+_ZERO_FIELDS = ("broadcast_waves", "broadcast_chunks", "bytes_shared")
 
 
 class EngineStats:
@@ -109,15 +103,6 @@ class EngineStats:
     ``store_hits`` / ``store_misses`` / ``bytes_replayed`` account the
     trace store itself. The materialize compatibility mode bypasses the
     trace plane, so these stay zero there.
-
-    The broadcast counters account the shared-memory fan-out plane:
-    ``broadcast_waves`` counts trace-key groups served by one reader
-    process, ``broadcast_chunks`` / ``bytes_shared`` count chunk
-    payloads consumers decoded straight from shared memory (summed over
-    consumers — one 10-chunk wave with 4 consumers shares 40 chunks),
-    and ``broadcast_fallbacks`` counts consumers that degraded to an
-    independent replay mid-stream (a fault counter: it trips
-    ``degraded``).
 
     The fault-plane counters account recovery work: ``retries`` (extra
     attempts scheduled after a failure), ``requeued`` (in-flight jobs
@@ -152,7 +137,9 @@ class EngineStats:
             setattr(self, name, value)
 
     def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in _STAT_FIELDS}
+        values = {name: getattr(self, name) for name in _STAT_FIELDS}
+        values.update(dict.fromkeys(_ZERO_FIELDS, 0))
+        return values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fields = ", ".join(
@@ -176,8 +163,7 @@ class EngineStats:
             self.retries or self.requeued or self.timeouts
             or self.pool_respawns or self.quarantined or self.cache_corrupt
             or self.replay_fallbacks or self.isolation_fallbacks
-            or self.serial_fallbacks or self.broadcast_fallbacks
-            or self.failures
+            or self.serial_fallbacks or self.failures
         )
 
     def format(self) -> str:
@@ -195,12 +181,6 @@ class EngineStats:
                 f"{self.store_misses} misses, "
                 f"{self.bytes_replayed} bytes replayed"
             )
-        if self.broadcast_waves:
-            text += (
-                f", broadcast {self.broadcast_waves} waves / "
-                f"{self.broadcast_chunks} chunks / "
-                f"{self.bytes_shared} bytes shared"
-            )
         if self.degraded:
             parts = [
                 f"{value} {name}"
@@ -214,7 +194,6 @@ class EngineStats:
                     ("replay fallbacks", self.replay_fallbacks),
                     ("isolation fallbacks", self.isolation_fallbacks),
                     ("serial fallbacks", self.serial_fallbacks),
-                    ("broadcast fallbacks", self.broadcast_fallbacks),
                     ("failed jobs", self.failures),
                 )
                 if value
@@ -281,17 +260,6 @@ class Engine:
             trace plane — traces are recorded once and replayed by every
             job and worker that shares the trace key. None keeps traces
             in-process only (serial fan-out still shares walks).
-        broadcast: shared-memory fan-out mode (``"auto"`` / ``"on"`` /
-            ``"off"``). Under ``jobs > 1`` with a trace store attached
-            (streaming mode), jobs sharing a trace key consume one
-            reader process's walk over a shared-memory chunk ring
-            instead of each replaying the store — N jobs over one key
-            cost exactly one trace walk. ``auto`` (the default)
-            broadcasts whenever the prerequisites hold; ``off`` forces
-            independent replay; ``on`` is ``auto`` plus a warning when
-            broadcasting is impossible. None defers to the
-            ``REPRO_BROADCAST`` environment variable. Results are
-            bit-identical in every mode.
         retry: the :class:`~repro.engine.faults.RetryPolicy` failing
             jobs run under (attempts, backoff, per-job timeout). None
             uses the default policy (3 attempts, no timeout);
@@ -311,11 +279,6 @@ class Engine:
             futures, and raises
             :class:`~repro.engine.faults.RunInterrupted` — the
             graceful-shutdown hook. None disables the check.
-        kernel: trace-walk kernel (``"python"``/``"vector"``), resolved
-            once at construction (explicit argument > ``REPRO_KERNEL``
-            environment variable > vector-when-numpy-importable). An
-            execution detail only: it never enters job hashes or cache
-            keys, and both kernels produce bit-identical results.
 
     An engine is a context manager; leaving the ``with`` block closes
     the result cache's sqlite catalog handle deterministically.
@@ -324,6 +287,11 @@ class Engine:
     #: pool deaths tolerated per batch before degrading to serial
     MAX_POOL_RESPAWNS = 3
 
+    #: fixed; perfbench/run.py records it in each sweep's conditions
+    kernel = "vector"
+    #: fixed; perfbench/run.py records it in each sweep's conditions
+    broadcast = "off"
+
     def __init__(
         self,
         jobs: int = 1,
@@ -331,15 +299,12 @@ class Engine:
         use_cache: bool = True,
         materialize: Optional[bool] = None,
         trace_store: Optional[Union[str, Path, TraceStore]] = None,
-        broadcast: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
         strict: bool = False,
         journal: Optional[Any] = None,
         interrupt: Optional[Any] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self.jobs = max(1, int(jobs))
-        self.kernel = resolve_kernel(kernel)
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if (cache_dir and use_cache) else None
         )
@@ -347,17 +312,13 @@ class Engine:
         if trace_store is not None and not isinstance(trace_store, TraceStore):
             trace_store = TraceStore(trace_store)
         self.trace_store: Optional[TraceStore] = trace_store
-        self.broadcast = resolve_broadcast(broadcast)
         self.retry = retry if retry is not None else RetryPolicy()
         self.strict = strict
         self.journal = journal
         self.interrupt = interrupt
         self.telemetry = RunTelemetry()
         self.stats = EngineStats(self.telemetry.registry)
-        registry = self.telemetry.registry
-        registry.set_gauge("engine.kernel", self.kernel)
-        registry.set_gauge("engine.jobs", self.jobs)
-        registry.set_gauge("engine.broadcast", self.broadcast)
+        self.telemetry.registry.set_gauge("engine.jobs", self.jobs)
 
     def run(self, graph: JobGraph) -> ResultMap:
         """Execute every job in ``graph``.
@@ -523,7 +484,7 @@ class Engine:
         for _ in range(2):
             accesses, generated = self._serial_pass(key)
             try:
-                results = run_group(group, accesses, self.kernel)
+                results = run_group(group, accesses)
             except Exception as error:
                 if store is not None and store.quarantine_if_damaged(
                     key, f"replay failed mid-walk: {error}"
@@ -566,9 +527,7 @@ class Engine:
             self.telemetry.attempt_started(job.job_hash, attempt)
             before = store.stats.as_dict() if store is not None else None
             try:
-                result = execute_job(
-                    job, materialize, store, attempt, self.kernel
-                )
+                result = execute_job(job, materialize, store, attempt)
             except Exception as error:
                 if store is not None and store.quarantine_if_damaged(
                     job.trace_key, f"replay failed: {error}"
@@ -629,7 +588,7 @@ class Engine:
         )
         return accounted, generated
 
-    # -- parallel: broadcast waves, then per-job futures -------------------
+    # -- parallel: per-job futures on a supervised pool --------------------
 
     def _execute_parallel(
         self, pending: "list[SimJob]", materialize: bool
@@ -642,273 +601,11 @@ class Engine:
         store_dir: Optional[str] = None
         if store is not None and not materialize:
             store_dir = str(store.directory)
-        logs: "dict[str, AttemptLog]" = {}
-        if store_dir is not None and self._broadcast_active():
-            remaining: "list[SimJob]" = []
-            for key, group in _grouped_by_trace_key(ordered).items():
-                if len(group) < 2:
-                    remaining.extend(group)
-                else:
-                    yield from self._run_broadcast_wave(
-                        key, group, store_dir, remaining, logs
-                    )
-            ordered = sorted(
-                remaining, key=lambda j: (j.trace_key, j.job_hash)
-            )
-        elif self.broadcast == MODE_ON and store_dir is None:
-            print(
-                "[engine: --broadcast on has no effect without a trace "
-                "store (streaming mode); replaying independently]",
-                file=sys.stderr,
-            )
-        if not ordered:
-            return
         supervisor = _PoolSupervisor(
             self, ordered, min(self.jobs, len(ordered)), materialize,
-            store_dir, logs,
+            store_dir,
         )
         yield from supervisor.run()
-
-    def _broadcast_active(self) -> bool:
-        """Whether multi-job trace keys run as broadcast waves. ``auto``
-        and ``on`` both broadcast when the prerequisites hold; ``on``
-        only differs in warning when they don't."""
-        if self.broadcast == MODE_OFF:
-            return False
-        if broadcast_supported():
-            return True
-        if self.broadcast == MODE_ON:
-            print(
-                "[engine: broadcast requested but shared memory is "
-                "unavailable; replaying independently]", file=sys.stderr,
-            )
-        return False
-
-    def _run_broadcast_wave(
-        self, key, group: "list[SimJob]", store_dir: str,
-        remaining: "list[SimJob]", logs: "dict[str, AttemptLog]",
-    ) -> Iterable["tuple[SimJob, Any]"]:
-        """One trace-key group as a broadcast wave.
-
-        A reader process walks ``key`` exactly once (replaying the
-        stored entry, or recording it during the walk when the key is
-        cold) and tees every chunk into a shared-memory ring. The group
-        is split into at most ``self.jobs`` *bundles*, one consumer
-        process each: within a bundle the in-process fan-out pump
-        shares a single chunk decode and pre-pass across its jobs, so
-        the wave honors the ``--jobs`` concurrency contract while still
-        costing one walk for the whole group (the ring's slot pacing
-        bounds memory; the trace plane, not the CPU count, is the
-        scarce resource here).
-
-        The wave inherits the parallel ladder's failure semantics: a
-        dead or erring reader aborts the ring and consumers degrade to
-        independent replay mid-stream (bit-identical results, counted
-        in ``broadcast_fallbacks``); a consumer that reports a clean
-        error is charged a retry attempt; a consumer that dies is
-        charged only if fault injection can attribute the crash to it.
-        Jobs that did not finish in the wave carry their attempt logs
-        into ``remaining`` and finish on the pool path, where the retry
-        policy's wall-clock timeout also applies.
-        """
-        import multiprocessing
-        from queue import Empty
-
-        from repro.tracestore.broadcast import ChunkRing, run_reader
-
-        stats = self.stats
-        journal = self.journal
-        telemetry = self.telemetry
-        bundles = [
-            group[start::min(self.jobs, len(group))]
-            for start in range(min(self.jobs, len(group)))
-        ]
-        try:
-            ring = ChunkRing(len(bundles))
-        except (OSError, ValueError):
-            remaining.extend(group)  # no shared memory: the pool replays
-            return
-        bundle_of = {
-            job.job_hash: index
-            for index, bundle in enumerate(bundles)
-            for job in bundle
-        }
-        for job in group:
-            # one dispatch per job even though the wave shares a walk —
-            # keeps kill_at_job indices meaningful across modes
-            self._dispatch_gate()
-            if journal is not None:
-                journal.attempt_started(job.job_hash, 1)
-            telemetry.attempt_started(
-                job.job_hash, 1,
-                worker=f"bundle-{bundle_of[job.job_hash]}",
-            )
-        stats.broadcast_waves += 1
-        out_queue = multiprocessing.Queue()
-        status_queue = multiprocessing.Queue()
-        reader = multiprocessing.Process(
-            target=run_reader,
-            args=(ring.producer(), store_dir, key, status_queue),
-            daemon=True,
-        )
-        outstanding: "dict[int, tuple[list[SimJob], Any]]" = {}
-        for index, bundle in enumerate(bundles):
-            outstanding[index] = (bundle, multiprocessing.Process(
-                target=execute_jobs_broadcast,
-                args=(bundle, ring.consumer(index), index, store_dir,
-                      self.kernel, out_queue),
-                daemon=True,
-            ))
-        processes = [proc for _, proc in outstanding.values()]
-        dead_since: "dict[int, float]" = {}
-        reader_reaped = False
-        try:
-            reader.start()
-            for proc in processes:
-                proc.start()
-            while outstanding:
-                self._check_interrupt()
-                if not reader_reaped and reader.exitcode is not None:
-                    reader_reaped = True
-                    self._reap_reader(status_queue, key, ring)
-                try:
-                    payload = out_queue.get(timeout=0.3)
-                except Empty:
-                    payload = None
-                if payload is not None:
-                    index, status, body, store_delta, shared = payload
-                    bundle, proc = outstanding.pop(index)
-                    ring.detach(index)  # its free tokens are gone with it
-                    proc.join()
-                    telemetry.absorb_bundle(
-                        [job.job_hash for job in bundle],
-                        shared.pop("telemetry", None) or {},
-                    )
-                    stats.broadcast_chunks += shared["broadcast_chunks"]
-                    stats.bytes_shared += shared["bytes_shared"]
-                    stats.broadcast_fallbacks += shared["broadcast_fallbacks"]
-                    if store_delta:
-                        # the bundle's fallback store handle started at
-                        # zero, so its counters are already a delta
-                        stats.absorb_trace_stats(store_delta)
-                    if status == "ok":
-                        by_hash = {job.job_hash: job for job in bundle}
-                        stats.passes_saved += len(body) - (
-                            store_delta or {}
-                        ).get("generated", 0)
-                        for job_hash, result in body:
-                            yield by_hash[job_hash], result
-                    else:
-                        for job in bundle:
-                            yield from self._charge_wave_job(
-                                job, RuntimeError(body), remaining, logs
-                            )
-                    continue
-                # no result this poll: reap consumers that died without
-                # reporting. A just-exited consumer's result may still be
-                # in the queue pipe, so give each death a grace period
-                # for its payload to drain before declaring a crash.
-                now = time.monotonic()
-                for index in list(outstanding):
-                    bundle, proc = outstanding[index]
-                    if proc.exitcode is None:
-                        continue
-                    if now - dead_since.setdefault(index, now) < 1.0:
-                        continue
-                    del outstanding[index]
-                    ring.detach(index)
-                    proc.join()
-                    for job in bundle:
-                        yield from self._crashed_wave_job(
-                            job, proc.exitcode, remaining, logs
-                        )
-        finally:
-            ring.abort()
-            for proc in processes:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in processes:
-                proc.join(timeout=2.0)
-            if reader.is_alive():
-                reader.terminate()
-            reader.join(timeout=2.0)
-            out_queue.close()
-            status_queue.close()
-            ring.close()
-
-    def _reap_reader(self, status_queue, key, ring) -> None:
-        """The reader process ended: absorb its trace accounting and,
-        unless it reported success, abort the ring so consumers degrade
-        to independent replay. A reader that failed on damaged data
-        also quarantines the entry, so every later replay of the key —
-        consumer fallbacks included — regenerates instead of re-reading
-        the same corruption."""
-        from queue import Empty
-
-        try:
-            status, detail, delta = status_queue.get(timeout=1.0)
-        except Empty:
-            # hard death (SIGKILL, injected reader_kill): no sentinel
-            # ever reached the ring — only the abort tells consumers
-            ring.abort()
-            return
-        self.stats.absorb_trace_stats(delta)
-        if status == "ok":
-            return
-        ring.abort()
-        store = self.trace_store
-        if store is not None and store.quarantine_if_damaged(
-            key, f"broadcast reader failed: {detail}"
-        ):
-            self.stats.quarantined += 1
-            self.stats.replay_fallbacks += 1
-
-    def _charge_wave_job(
-        self, job: SimJob, error: BaseException,
-        remaining: "list[SimJob]", logs: "dict[str, AttemptLog]",
-    ) -> Iterable["tuple[SimJob, Any]"]:
-        """A wave consumer failed cleanly: charge the job's retry budget
-        and route it (with its attempt log) to the pool path."""
-        log = logs.setdefault(
-            job.job_hash, AttemptLog(job.job_hash, job.label())
-        )
-        log.record(error)
-        if self.journal is not None:
-            self.journal.attempt_failed(
-                job.job_hash, log.attempts, f"{type(error).__name__}: {error}"
-            )
-        self.telemetry.attempt_finished(
-            job.job_hash, "failed", error=f"{type(error).__name__}: {error}"
-        )
-        if log.attempts >= self.retry.attempts:
-            yield job, self._give_up(log)
-            return
-        self.stats.retries += 1
-        remaining.append(job)
-
-    def _crashed_wave_job(
-        self, job: SimJob, exitcode: Optional[int],
-        remaining: "list[SimJob]", logs: "dict[str, AttemptLog]",
-    ) -> Iterable["tuple[SimJob, Any]"]:
-        """A wave consumer died without reporting. As on the pool path,
-        fault injection can say whether this job's own crash draw fired
-        (charged) or the death was collateral (requeued for free)."""
-        log = logs.setdefault(
-            job.job_hash, AttemptLog(job.job_hash, job.label())
-        )
-        plan = active_plan()
-        if plan and plan.spec("worker_crash") is not None and not plan.fires(
-            "worker_crash", job.job_hash, log.attempts + 1
-        ):
-            self.stats.requeued += 1
-            self.telemetry.attempt_finished(job.job_hash, "requeued")
-            remaining.append(job)
-            return
-        yield from self._charge_wave_job(
-            job,
-            BrokenProcessPool(f"broadcast consumer died (exit {exitcode})"),
-            remaining, logs,
-        )
 
     def report(self, stream=sys.stderr) -> None:
         print(f"[{self.stats.format()}]", file=stream)
@@ -944,7 +641,6 @@ class _PoolSupervisor:
         workers: int,
         materialize: bool,
         store_dir: Optional[str],
-        logs: Optional["dict[str, AttemptLog]"] = None,
     ) -> None:
         self.engine = engine
         self.stats = engine.stats
@@ -953,9 +649,6 @@ class _PoolSupervisor:
         self.workers = workers
         self.materialize = materialize
         self.store_dir = store_dir
-        # attempt logs carried over from a broadcast wave, so a job
-        # requeued off a failed wave keeps its charged attempts
-        self.seed_logs = logs or {}
         self.pool: Optional[ProcessPoolExecutor] = None
         self.respawns = 0
 
@@ -987,12 +680,7 @@ class _PoolSupervisor:
 
     def run(self) -> Iterable["tuple[SimJob, Any]"]:
         queue: "deque[tuple[SimJob, AttemptLog, float]]" = deque(
-            (
-                job,
-                self.seed_logs.get(job.job_hash)
-                or AttemptLog(job.job_hash, job.label()),
-                0.0,
-            )
+            (job, AttemptLog(job.job_hash, job.label()), 0.0)
             for job in self.jobs
         )
         in_flight: "dict[Any, tuple[SimJob, AttemptLog, Optional[float]]]" = {}
@@ -1078,7 +766,6 @@ class _PoolSupervisor:
                     materialize=self.engine.materialize,
                     trace_store_dir=self.store_dir,
                     attempt=log.attempts + 1,
-                    kernel=self.engine.kernel,
                 )
             except (BrokenProcessPool, RuntimeError):
                 queue.append((job, log, ready_at))
@@ -1266,15 +953,13 @@ def _stats_delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int
 
 
 class _AccountedSource:
-    """A single-pass view of a trace-store source that folds the store's
-    accounting delta (minus the generation passes the engine already
-    counted) into ``stats`` when the walk completes.
+    """A single-pass chunked view of a trace-store source that folds the
+    store's accounting delta (minus the generation passes the engine
+    already counted) into ``stats`` when the walk completes.
 
-    Exposes both walk shapes so the fan-out pump picks whichever its
-    kernel wants: per-record iteration, or native chunks (a recorded
-    entry decodes whole stored chunks columnar; a record-during-walk
-    generation pass is batched generically with the tee side effects
-    intact).
+    A recorded entry decodes whole stored chunks columnar; a
+    record-during-walk generation pass is batched generically with the
+    tee side effects intact.
     """
 
     __slots__ = ("_source", "_store", "_before", "_stats", "_generated")
@@ -1291,10 +976,6 @@ class _AccountedSource:
         delta = _stats_delta(self._store.stats.as_dict(), self._before)
         delta["generated"] -= self._generated
         self._stats.absorb_trace_stats(delta)
-
-    def __iter__(self):
-        yield from self._source
-        self._fold()
 
     def iter_chunks(self):
         yield from self._source.iter_chunks()

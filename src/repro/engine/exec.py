@@ -66,7 +66,6 @@ from repro.prefetch.sms.sms import SMSPrefetcher
 from repro.prefetch.stems.stems import STeMSPrefetcher
 from repro.prefetch.stride import StridePrefetcher
 from repro.prefetch.tms.tms import TMSPrefetcher
-from repro.kernels import resolve_kernel
 from repro.sim.driver import SimulationDriver
 from repro.sim.timing import TimingModel
 from repro.telemetry import process_registry, telemetry_enabled
@@ -219,27 +218,27 @@ def analysis_for_job(job: SimJob) -> Any:
     raise ValueError(f"job kind {job.kind!r} is not an analysis kind")
 
 
-def _run_coverage(job: SimJob, trace: TraceLike, kernel: Optional[str]) -> Any:
+def _run_coverage(job: SimJob, trace: TraceLike) -> Any:
     prefetcher = build_prefetcher(job.prefetcher, job.workload)
-    return SimulationDriver(job.system, prefetcher).run(trace, kernel)
+    return SimulationDriver(job.system, prefetcher).run(trace)
 
 
-def _run_timing(job: SimJob, trace: TraceLike, kernel: Optional[str]) -> Any:
+def _run_timing(job: SimJob, trace: TraceLike) -> Any:
     # one shared walk: the driver classifies each access and feeds the
     # incremental timing model in the same pass (no service list)
     prefetcher = build_prefetcher(job.prefetcher, job.workload)
     model = timing_model_for_job(job)
     SimulationDriver(job.system, prefetcher, service_consumer=model).run(
-        trace, kernel
+        trace
     )
     return model.finalize()
 
 
-def _run_analysis(job: SimJob, trace: TraceLike, kernel: Optional[str]) -> Any:
-    return analysis_for_job(job).consume(trace, kernel)
+def _run_analysis(job: SimJob, trace: TraceLike) -> Any:
+    return analysis_for_job(job).consume(trace)
 
 
-_EXECUTORS: Dict[str, Callable[[SimJob, TraceLike, Optional[str]], Any]] = {
+_EXECUTORS: Dict[str, Callable[[SimJob, TraceLike], Any]] = {
     KIND_COVERAGE: _run_coverage,
     KIND_TIMING: _run_timing,
     KIND_JOINT: _run_analysis,
@@ -253,7 +252,6 @@ def execute_job(
     materialize: Optional[bool] = None,
     trace_store: Optional["TraceStore"] = None,
     attempt: int = 1,
-    kernel: Optional[str] = None,
 ) -> Any:
     """Run one job to completion and return its result dataclass.
 
@@ -267,15 +265,10 @@ def execute_job(
             instead of being regenerated.
         attempt: 1-based attempt number (retry ladder); folded into the
             fault-injection draw so a retried job re-rolls its faults.
-        kernel: trace-walk kernel (``"python"``/``"vector"``/None, see
-            :func:`repro.kernels.resolve_kernel`). An execution detail:
-            it never enters the job hash, and both kernels produce
-            bit-identical results.
 
     Returns:
         The kind-specific result dataclass; bit-identical across all
-        trace modes, kernels, serial/parallel execution and cache
-        round-trips.
+        trace modes, serial/parallel execution and cache round-trips.
 
     A mid-walk :class:`~repro.tracestore.TraceFormatError` from a store
     replay (a corrupt or truncated entry caught by the codec's CRC) is
@@ -286,9 +279,7 @@ def execute_job(
     if materialize is None:
         materialize = default_materialize()
     maybe_fail_job(job.job_hash, attempt)
-    return _EXECUTORS[job.kind](
-        job, job_trace(job, materialize, trace_store), kernel
-    )
+    return _EXECUTORS[job.kind](job, job_trace(job, materialize, trace_store))
 
 
 def execute_job_recovering(
@@ -296,7 +287,6 @@ def execute_job_recovering(
     materialize: Optional[bool] = None,
     trace_store: Optional["TraceStore"] = None,
     attempt: int = 1,
-    kernel: Optional[str] = None,
 ) -> Any:
     """:func:`execute_job` with the replay→regeneration fallback wired.
 
@@ -311,9 +301,9 @@ def execute_job_recovering(
     and propagates to the caller's retry ladder.
     """
     if trace_store is None:
-        return execute_job(job, materialize, None, attempt, kernel)
+        return execute_job(job, materialize, None, attempt)
     try:
-        return execute_job(job, materialize, trace_store, attempt, kernel)
+        return execute_job(job, materialize, trace_store, attempt)
     except Exception as error:
         damaged = trace_store.quarantine_if_damaged(
             job.trace_key, f"replay failed: {error}"
@@ -324,7 +314,7 @@ def execute_job_recovering(
         if not damaged and not trace_store.was_quarantined(job.trace_key):
             raise
         trace_store.stats.replay_fallbacks += 1
-        return execute_job(job, materialize, trace_store, attempt, kernel)
+        return execute_job(job, materialize, trace_store, attempt)
 
 
 def execute_job_with_hash(
@@ -339,7 +329,6 @@ def execute_job_for_pool(
     materialize: Optional[bool] = None,
     trace_store_dir: Optional[Union[str, Path]] = None,
     attempt: int = 1,
-    kernel: Optional[str] = None,
 ) -> Tuple[str, Any, Dict[str, int]]:
     """Worker-side entry: result plus the trace-plane accounting delta.
 
@@ -353,7 +342,7 @@ def execute_job_for_pool(
 
     With telemetry on, the dict additionally carries a ``"telemetry"``
     key — the worker's phase-timer delta plus a span self-report
-    (wall/CPU time, kernel, store hit/miss, bytes replayed) — which
+    (wall/CPU time, store hit/miss, bytes replayed) — which
     the parent pops before folding the trace counters; the tuple shape
     itself never changes.
     """
@@ -368,7 +357,7 @@ def execute_job_for_pool(
     if telemetry:
         phase_before = process_registry().snapshot()
         wall0, cpu0 = time.perf_counter(), time.process_time()
-    result = execute_job_recovering(job, materialize, store, attempt, kernel)
+    result = execute_job_recovering(job, materialize, store, attempt)
     if store is not None:
         stats = store.stats.as_dict()
     elif materialize:
@@ -380,7 +369,6 @@ def execute_job_for_pool(
             "worker": f"worker-{os.getpid()}",
             "wall_s": time.perf_counter() - wall0,
             "cpu_s": time.process_time() - cpu0,
-            "kernel": resolve_kernel(kernel),
         }
         if store is not None:
             span["store"] = "hit" if stats.get("hits") else "miss"
@@ -393,80 +381,6 @@ def execute_job_for_pool(
             "span": span,
         }
     return job.job_hash, result, stats
-
-
-def execute_jobs_broadcast(
-    jobs: "list[SimJob]",
-    ring_consumer: Any,
-    index: int,
-    trace_store_dir: Union[str, Path],
-    kernel: Optional[str],
-    out_queue: Any,
-) -> None:
-    """Broadcast-consumer process entry: a job bundle fed from one ring.
-
-    Runs the bundle through the same fan-out pump a serial group uses
-    (:func:`~repro.engine.fanout.run_group`) — every job in the bundle
-    shares one chunk decode and one vectorized pre-pass — but the
-    access stream is a :class:`~repro.tracestore.broadcast.ChunkCursor`
-    decoding chunks straight out of shared memory: zero file IO, zero
-    index decode on the consumer side. If the reader dies or a slot
-    fails its CRC the cursor degrades to an independent replay
-    mid-stream; results are bit-identical either way.
-
-    Reports ``(index, status, payload, store_stats, broadcast_stats)``
-    on ``out_queue`` — ``status`` is ``"ok"`` (payload = a list of
-    ``(job_hash, result)`` pairs) or ``"error"`` (payload = the error
-    description; the parent charges each bundled job's retry budget and
-    requeues them through the pool path). Injected ``worker_crash``
-    draws kill the process outright, exactly as they would a pool
-    worker. With telemetry on, the broadcast-accounting dict carries a
-    ``"telemetry"`` key (phase-timer delta + bundle span self-report)
-    that the parent pops before folding the counters.
-    """
-    from repro.engine.fanout import run_group
-    from repro.tracestore.broadcast import ChunkCursor, replay_fallback
-
-    bundle = list(jobs)
-    fallback = replay_fallback(str(trace_store_dir), bundle[0].trace_key)
-    cursor = ChunkCursor(ring_consumer, fallback)
-    telemetry = telemetry_enabled()
-    if telemetry:
-        phase_before = process_registry().snapshot()
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-
-    def accounting() -> dict:
-        shared = cursor.accounting()
-        if telemetry:
-            span = {
-                "worker": f"bundle-{index}",
-                "wall_s": time.perf_counter() - wall0,
-                "cpu_s": time.process_time() - cpu0,
-                "kernel": resolve_kernel(kernel),
-                "bundle_jobs": len(bundle),
-            }
-            if shared["broadcast_fallbacks"]:
-                span["fallback"] = "broadcast->replay"
-            shared["telemetry"] = {
-                "metrics": process_registry().delta_since(phase_before),
-                "span": span,
-            }
-        return shared
-
-    try:
-        results = run_group(bundle, cursor, kernel)
-    except BaseException as error:  # noqa: BLE001 - reported, not silenced
-        out_queue.put((
-            index, "error", f"{type(error).__name__}: {error}",
-            fallback.stats, accounting(),
-        ))
-        ring_consumer.close()
-        return
-    out_queue.put((
-        index, "ok", [(job.job_hash, result) for job, result in results],
-        fallback.stats, accounting(),
-    ))
-    ring_consumer.close()
 
 
 def record_trace_for_pool(

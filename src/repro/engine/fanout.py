@@ -3,14 +3,15 @@
 Jobs that share a :attr:`~repro.engine.job.SimJob.trace_key` walk the
 identical generated access sequence, so running them one after another
 regenerates (or re-reads) the same trace N times. This module turns each
-job into an incremental *consumer* — ``update(access)`` per record,
-``finalize()`` for the result — and pumps a single
-:class:`~repro.trace.container.TraceSource` pass through all of them.
+job into an incremental *consumer* — ``update_block(chunk)`` per
+:class:`~repro.kernels.AccessChunk`, ``finalize()`` for the result — and
+pumps a single :class:`~repro.trace.container.TraceSource` pass through
+all of them, decoding and pre-passing each chunk once for the group.
 
 Every consumer owns completely independent simulation state (its own
 hierarchy, SVB, predictor, analysis tables), exactly as a solo
 :func:`~repro.engine.exec.execute_job` run would, and the driver's
-pushed ``step`` closure is the same code the pulled ``run()`` loop
+pushed ``step_chunk`` closure is the same code the pulled ``run()`` loop
 executes — so fanned-out results are bit-identical to per-job execution.
 The engine uses this for serial runs; parallel workers instead replay a
 recorded trace from the :class:`~repro.tracestore.TraceStore`.
@@ -19,7 +20,7 @@ recorded trace from the :class:`~repro.tracestore.TraceStore`.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from repro.engine.exec import (
     analysis_for_job,
@@ -28,7 +29,6 @@ from repro.engine.exec import (
 )
 from repro.engine.faultinject import maybe_fail_job
 from repro.engine.job import KIND_COVERAGE, KIND_TIMING, SimJob
-from repro.kernels import KERNEL_VECTOR, resolve_kernel
 from repro.kernels.prepass import iter_trace_chunks
 from repro.sim.driver import SimulationDriver
 from repro.telemetry import PHASE_FINALIZE, PHASE_WALK, phases_active
@@ -36,16 +36,13 @@ from repro.trace.events import MemoryAccess
 
 
 class _DriverConsumer:
-    """Push-mode coverage run: a driver walk fed one access at a time
-    (``update``) or one precomputed chunk at a time (``update_block``)."""
+    """Push-mode coverage run: a driver walk fed one precomputed chunk
+    at a time (``update_block``)."""
 
-    __slots__ = ("_walk", "update", "update_block")
+    __slots__ = ("_walk", "update_block")
 
     def __init__(self, job: SimJob, driver: SimulationDriver) -> None:
         self._walk = driver.start(job.workload)
-        shift = job.system.address_map.block_bits
-        step = self._walk.step
-        self.update = lambda access: step(access, access.address >> shift)
         self.update_block = self._walk.step_chunk
 
     def finalize(self) -> Any:
@@ -69,7 +66,8 @@ class _TimingConsumer(_DriverConsumer):
 
 
 def job_consumer(job: SimJob) -> Any:
-    """An ``update(access)`` / ``finalize()`` consumer executing ``job``.
+    """An ``update_block(chunk)`` / ``finalize()`` consumer executing
+    ``job``.
 
     Analysis jobs are :class:`~repro.analysis.base.StreamingAnalysis`
     instances already; coverage and timing jobs wrap a pushed
@@ -88,10 +86,11 @@ def job_consumer(job: SimJob) -> Any:
     return analysis_for_job(job)
 
 
+# also imported into repro.engine.engine, where perfbench/layers.py
+# wraps it by name (the sim.driver layer)
 def run_group(
     jobs: Sequence[SimJob],
     accesses: Iterable[MemoryAccess],
-    kernel: Optional[str] = None,
 ) -> List[Tuple[SimJob, Any]]:
     """Execute every job in ``jobs`` from one shared pass over ``accesses``.
 
@@ -99,13 +98,9 @@ def run_group(
         jobs: jobs sharing a trace key (any kinds may mix).
         accesses: a single-iteration access stream for that key — a
             ``TraceSource``, a store replay, or a record-during-walk
-            generator.
-        kernel: trace-walk kernel. The vector kernel pumps the stream
-            chunk-at-a-time: each chunk's pre-pass (block ids) is
-            computed once and every consumer's ``update_block`` replays
-            it through the same per-access closures the python pump
-            calls — bit-identical results, one chunk decode shared by
-            the whole group.
+            generator. It is pumped chunk-at-a-time: each chunk's
+            pre-pass (block ids) is computed once and every consumer's
+            ``update_block`` replays it through its per-access closures.
 
     Returns:
         ``(job, result)`` pairs in ``jobs`` order, each result
@@ -117,45 +112,26 @@ def run_group(
     for job in jobs:
         maybe_fail_job(job.job_hash, 1)
     consumers = [job_consumer(job) for job in jobs]
-    # ``walk_step`` phase accounting: the vector pump times the
-    # consumer updates per chunk (chunk decode is accounted separately
-    # inside decode_chunk; the pre-pass columns, computed lazily inside
-    # a chunk's first update, nest under walk_step as well as prepass);
-    # the python pump times the whole record loop, which includes trace
-    # production — per-record timer calls would dwarf the walk itself
+    chunk_updates = [consumer.update_block for consumer in consumers]
+    # ``walk_step`` phase accounting times the consumer updates per
+    # chunk (chunk decode is accounted separately inside decode_chunk;
+    # the pre-pass columns, computed lazily inside a chunk's first
+    # update, nest under walk_step as well as prepass)
     timer = phases_active()
-    if resolve_kernel(kernel) == KERNEL_VECTOR:
-        if timer is not None:
-            chunk_updates = [c.update_block for c in consumers]
-            for chunk in iter_trace_chunks(accesses):
-                start = perf_counter()
-                for update_block in chunk_updates:
-                    update_block(chunk)
-                timer.add(PHASE_WALK, perf_counter() - start)
-        elif len(consumers) == 1:
-            update_block = consumers[0].update_block
-            for chunk in iter_trace_chunks(accesses):
+    if timer is not None:
+        for chunk in iter_trace_chunks(accesses):
+            start = perf_counter()
+            for update_block in chunk_updates:
                 update_block(chunk)
-        else:
-            chunk_updates = [c.update_block for c in consumers]
-            for chunk in iter_trace_chunks(accesses):
-                for update_block in chunk_updates:
-                    update_block(chunk)
-    elif len(consumers) == 1:
-        start = perf_counter() if timer is not None else 0.0
-        update = consumers[0].update
-        for access in accesses:
-            update(access)
-        if timer is not None:
             timer.add(PHASE_WALK, perf_counter() - start)
+    elif len(chunk_updates) == 1:
+        update_block = chunk_updates[0]
+        for chunk in iter_trace_chunks(accesses):
+            update_block(chunk)
     else:
-        start = perf_counter() if timer is not None else 0.0
-        updates = [consumer.update for consumer in consumers]
-        for access in accesses:
-            for update in updates:
-                update(access)
-        if timer is not None:
-            timer.add(PHASE_WALK, perf_counter() - start)
+        for chunk in iter_trace_chunks(accesses):
+            for update_block in chunk_updates:
+                update_block(chunk)
     if timer is None:
         return [
             (job, consumer.finalize())

@@ -38,13 +38,6 @@ lets the third succeed — a fully deterministic retry-ladder vector.
     this one counts dispatches rather than drawing per site, so "crash
     at an arbitrary point mid-sweep" is exactly reproducible — the
     vector behind the crash → ``--resume`` → bit-identical-parity tests.
-``reader_kill``
-    A broadcast *reader* process (:mod:`repro.tracestore.broadcast`)
-    dies with ``os._exit`` the moment it has broadcast its N-th chunk
-    (``@after=N``, 1-based, default 1) — a SIGKILL mid-stream. Like
-    ``kill_at_job`` it is positional, not probabilistic: the vector
-    behind the reader-death → consumers-degrade-to-replay →
-    bit-identical-parity tests.
 
 Every decision is a pure function of ``(kind, site key, attempt,
 seed)`` via a sha256 draw — no global RNG state — so an injected run is
@@ -72,7 +65,7 @@ ENV_VAR = "REPRO_FAULT_INJECT"
 
 FAULT_KINDS = (
     "worker_crash", "job_fail", "stall", "trace_corrupt", "cache_corrupt",
-    "kill_at_job", "reader_kill",
+    "kill_at_job",
 )
 
 #: exit status an injected worker crash dies with (diagnostic only)
@@ -83,9 +76,6 @@ KILL_EXIT_CODE = 86
 
 #: dispatch counter backing ``kill_at_job`` (parent process only)
 _DISPATCHES = 0
-
-#: chunks-broadcast counter backing ``reader_kill`` (reader process only)
-_READER_CHUNKS = 0
 
 
 class InjectedFault(RuntimeError):
@@ -178,12 +168,11 @@ _CACHED: Optional[Tuple[str, FaultPlan]] = None
 def active_plan() -> FaultPlan:
     """The plan from ``REPRO_FAULT_INJECT``, re-parsed when the variable
     changes (cheap per-call check, so tests can flip it at runtime)."""
-    global _CACHED, _DISPATCHES, _READER_CHUNKS
+    global _CACHED, _DISPATCHES
     text = os.environ.get(ENV_VAR, "").strip()
     if _CACHED is None or _CACHED[0] != text:
         _CACHED = (text, FaultPlan.parse(text) if text else FaultPlan({}))
-        _DISPATCHES = 0  # a new plan restarts the positional countdowns
-        _READER_CHUNKS = 0
+        _DISPATCHES = 0  # a new plan restarts the positional countdown
     return _CACHED[1]
 
 
@@ -259,30 +248,6 @@ def maybe_kill_run() -> None:
             except (OSError, ValueError):
                 pass
         os._exit(KILL_EXIT_CODE)
-
-
-def maybe_kill_reader() -> None:
-    """Broadcast-reader kill point, called once per broadcast chunk.
-
-    With ``reader_kill@after=N`` active, the N-th chunk a reader
-    broadcasts (1-based, counted per reader process) terminates the
-    reader via ``os._exit`` with :data:`CRASH_EXIT_CODE` — a faithful
-    SIGKILL mid-stream: no sentinel reaches the ring, so consumers
-    discover the death by timeout and degrade to independent replay.
-    Positional like ``kill_at_job``; the rate field is ignored.
-    """
-    global _READER_CHUNKS
-    plan = active_plan()
-    spec = plan.spec("reader_kill")
-    if spec is None:
-        return
-    _READER_CHUNKS += 1
-    if _READER_CHUNKS == int(spec.param("after", "1")):
-        sys.stderr.write(
-            f"[faultinject: reader_kill fired after chunk {_READER_CHUNKS}]\n"
-        )
-        sys.stderr.flush()
-        os._exit(CRASH_EXIT_CODE)
 
 
 def _already_faulted(path: Path) -> bool:

@@ -21,11 +21,7 @@ A ``--trace-store`` directory (or the ``REPRO_TRACE_STORE`` environment
 variable) turns trace generation into a shared, cached resource: each
 ``(workload, length, seed)`` trace is recorded once in a compact binary
 format and replayed by every job — and every ``--jobs`` worker — that
-shares it, across invocations. Under ``--jobs N`` the replays collapse
-further: ``--broadcast`` (default ``auto``) runs jobs sharing a trace
-key as a broadcast wave — one reader process walks the key once and
-tees every chunk to all consumers over shared memory, so an N-job sweep
-over one key costs exactly one trace walk total.
+shares it, across invocations.
 
 Execution is fault-tolerant: every job runs under a retry policy
 (``--retries``, ``--job-timeout``), dead workers are respawned with only
@@ -155,15 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "it (default: $REPRO_TRACE_STORE if set, else off)",
     )
     engine_group.add_argument(
-        "--broadcast", choices=("auto", "on", "off"), default=None,
-        help="shared-memory fan-out: under --jobs N with a trace store, "
-        "jobs sharing a trace key consume ONE reader process's walk "
-        "over a shared-memory ring instead of replaying the store "
-        "independently — N jobs over one key cost exactly one trace "
-        "walk; results are bit-identical either way (default: "
-        "$REPRO_BROADCAST if set, else auto)",
-    )
-    engine_group.add_argument(
         "--retries", type=int, default=3, metavar="N",
         help="attempts each failing job gets before it is recorded as a "
         "structured failure (default: 3; 1 disables retrying)",
@@ -183,13 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compatibility mode: generate each trace into memory "
         "(per-process memo) instead of streaming it; results are "
         "bit-identical, but peak memory grows with trace length",
-    )
-    engine_group.add_argument(
-        "--kernel", choices=("python", "vector"), default=None,
-        help="trace-walk kernel: 'vector' decodes and classifies whole "
-        "record chunks at a time, 'python' is the record-at-a-time "
-        "reference oracle; results are bit-identical (default: "
-        "$REPRO_KERNEL if set, else vector when numpy is installed)",
     )
     durable_group = parser.add_argument_group("durable runs")
     durable_group.add_argument(
@@ -251,14 +231,12 @@ def make_engine(args: argparse.Namespace, journal=None,
         cache_dir=None if args.no_cache else args.cache_dir,
         materialize=True if args.materialize else None,
         trace_store=trace_store,
-        broadcast=getattr(args, "broadcast", None),
         retry=RetryPolicy(
             attempts=max(1, args.retries), timeout=args.job_timeout
         ),
         strict=args.strict,
         journal=journal,
         interrupt=interrupt,
-        kernel=args.kernel,
     )
 
 
@@ -325,6 +303,25 @@ def format_runs(root: Path) -> str:
     return "\n".join(lines)
 
 
+#: execution-only flags that journals written by older versions may
+#: carry in their argv; neither ever entered a job hash, and the parser
+#: no longer accepts them, so a resume drops each with its value
+_REMOVED_FLAGS = ("--kernel", "--broadcast")
+
+
+def _strip_removed_flags(argv: List[str]) -> List[str]:
+    kept: List[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        flag, inline, _ = token.partition("=")
+        if flag in _REMOVED_FLAGS:
+            if not inline:
+                next(tokens, None)  # the value in the next token
+            continue
+        kept.append(token)
+    return kept
+
+
 def _resolve_resume(args: argparse.Namespace) -> argparse.Namespace:
     """Turn ``--resume RUN`` into the original run's argument set.
 
@@ -335,7 +332,7 @@ def _resolve_resume(args: argparse.Namespace) -> argparse.Namespace:
     run serially (or vice versa) is legal and bit-identical.
     """
     record = find_run(runs_root(args.cache_dir), args.resume)
-    resumed = build_parser().parse_args(record.argv)
+    resumed = build_parser().parse_args(_strip_removed_flags(record.argv))
     if resumed.resume:
         # a resume-of-a-resume recorded its own original argv; the
         # header argv is always the *effective* experiment invocation
@@ -406,7 +403,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"[resume: {error}]", file=sys.stderr)
             return 2
         resume_record = args._resume_record
-        original_argv = list(resume_record.argv)
+        original_argv = _strip_removed_flags(resume_record.argv)
     if args.experiment is None:
         build_parser().error("an experiment name (or --list) is required")
     config = make_config(args)

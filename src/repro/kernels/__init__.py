@@ -1,63 +1,29 @@
-"""Kernel selection for the trace-walk hot path.
+"""Chunk-granular batching for the trace-walk hot path.
 
 Every job funnels through one streaming trace walk, so the per-record
 Python overhead of that walk bounds throughput for the whole system.
-This package provides the **vector kernel**: a chunk-granular fast path
-that decodes trace-store records in aligned blocks (``numpy.frombuffer``
-when numpy is installed, ``struct.iter_unpack`` otherwise), precomputes
-the per-access classification inputs (block ids, region ids, read/write
-masks, stride deltas) for a whole chunk at once, and pumps consumers
-with C-driven ``map`` loops instead of one Python iteration per record.
+This package batches the walk a chunk at a time: trace-store records
+are decoded in aligned blocks (:mod:`repro.kernels.decode`), the
+per-access classification inputs (block ids, region ids, read/write
+masks, stride deltas) are precomputed for a whole chunk at once
+(:mod:`repro.kernels.prepass`), and consumers are pumped with C-driven
+``map`` loops instead of one Python iteration per record.
 
-The record-at-a-time pure-python walk is retained as the **reference
-oracle** behind ``--kernel=python`` / ``REPRO_KERNEL=python``: both
-kernels execute the identical simulation code per access, so their
-results are bit-identical — asserted across every experiment, both
-engines, fan-out, replay, and fault-injected runs by the test suite and
-``benchmarks/kernel_smoke.py``.
-
-Selection order (first match wins):
-
-1. an explicit ``kernel=`` argument (``Engine(kernel=...)``, CLI
-   ``--kernel``);
-2. the ``REPRO_KERNEL`` environment variable;
-3. the default: ``vector`` when numpy is importable, else ``python``.
-
-Requesting ``vector`` without numpy is not an error: the walk falls back
-to the pure-python chunking path (same chunk-granular pumping, scalar
-decode) and a one-line note is printed to stderr once per process so the
-silent degradation is visible.
+numpy is optional (the ``[vector]`` extra). When it imports, chunk
+decode and the pre-pass work on ``numpy.frombuffer`` columns;
+otherwise ``struct.iter_unpack`` and list comprehensions build the
+identical objects. No user option chooses between the two.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-from typing import Optional
-
-KERNEL_PYTHON = "python"
-KERNEL_VECTOR = "vector"
-KERNELS = (KERNEL_PYTHON, KERNEL_VECTOR)
-
-#: environment override for the default kernel choice
-ENV_VAR = "REPRO_KERNEL"
-
-#: records per decoded chunk — matches the codec's write/read syscall
-#: granularity so one stored chunk decodes into one kernel chunk
-CHUNK_RECORDS = 4096
-
 _numpy = None
 _numpy_checked = False
-_fallback_noted = False
 
 
+# read by perfbench/run.py (the numpy version in a run's conditions)
 def numpy_or_none():
-    """The ``numpy`` module when importable, else None (cached).
-
-    The import guard lives here so every vector-kernel site degrades the
-    same way; nothing in the package hard-requires numpy (it is the
-    optional ``[vector]`` extra).
-    """
+    """The ``numpy`` module when importable, else None (cached)."""
     global _numpy, _numpy_checked
     if not _numpy_checked:
         try:
@@ -69,59 +35,6 @@ def numpy_or_none():
     return _numpy
 
 
-def vector_available() -> bool:
-    """True when the numpy-backed decode/prepass can run."""
-    return numpy_or_none() is not None
-
-
-def note_vector_fallback() -> None:
-    """One-line stderr note, once per process, that the vector kernel is
-    running without numpy (scalar decode, chunked pumping only)."""
-    global _fallback_noted
-    if _fallback_noted:
-        return
-    _fallback_noted = True
-    print(
-        "[repro.kernels: numpy not installed — vector kernel falling back "
-        "to the python decode path (install the '[vector]' extra)]",
-        file=sys.stderr,
-    )
-
-
-def default_kernel() -> str:
-    """The kernel used when neither argument nor environment chooses."""
-    return KERNEL_VECTOR if vector_available() else KERNEL_PYTHON
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """Resolve an optional kernel request to a concrete kernel name.
-
-    Args:
-        kernel: explicit request (``"python"``/``"vector"``), or None to
-            defer to ``REPRO_KERNEL`` and then the default.
-
-    Returns:
-        One of :data:`KERNELS`. A ``vector`` request without numpy
-        resolves to ``vector`` — the chunk plumbing still runs, with
-        scalar decode — after emitting the fallback note.
-
-    Raises:
-        ValueError: on an unknown kernel name (argument or environment).
-    """
-    if kernel is None:
-        kernel = os.environ.get(ENV_VAR, "").strip() or None
-    if kernel is None:
-        return default_kernel()
-    kernel = kernel.lower()
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; choose from {'/'.join(KERNELS)}"
-        )
-    if kernel == KERNEL_VECTOR and not vector_available():
-        note_vector_fallback()
-    return kernel
-
-
 from repro.kernels.prepass import (  # noqa: E402  (re-export)
     AccessChunk,
     chunk_accesses,
@@ -130,16 +43,7 @@ from repro.kernels.prepass import (  # noqa: E402  (re-export)
 
 __all__ = [
     "AccessChunk",
-    "CHUNK_RECORDS",
-    "ENV_VAR",
-    "KERNELS",
-    "KERNEL_PYTHON",
-    "KERNEL_VECTOR",
     "chunk_accesses",
-    "default_kernel",
     "iter_trace_chunks",
-    "note_vector_fallback",
     "numpy_or_none",
-    "resolve_kernel",
-    "vector_available",
 ]

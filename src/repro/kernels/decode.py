@@ -1,16 +1,12 @@
 """Record/chunk decode: raw trace bytes → :class:`AccessChunk`.
 
 The record wire format (fixed 29-byte records, see :data:`RECORD`) is
-shared by every plane that moves trace bytes: the on-disk codec
-(:mod:`repro.tracestore.codec`) frames these records into files, and
-the broadcast plane (:mod:`repro.tracestore.broadcast`) ships the same
-chunk payloads through shared memory. Both feed their bytes through
-:func:`decode_chunk` here, so a broadcast consumer materializes
-:class:`AccessChunk` runs straight from the shared buffer — no file
-open, no index parse, no second decode path to keep bit-identical.
+what the on-disk codec (:mod:`repro.tracestore.codec`) frames into
+files; replay feeds each stored chunk's bytes through
+:func:`decode_chunk` here.
 
-The vector path decodes a whole chunk columnar with
-``numpy.frombuffer``; without numpy the scalar ``struct.iter_unpack``
+With numpy importable a whole chunk decodes columnar with
+``numpy.frombuffer``; without it the scalar ``struct.iter_unpack``
 path produces the identical objects.
 """
 
@@ -74,9 +70,8 @@ def record_dtype(numpy):
 def decode_chunk(first_index: int, chunk: bytes) -> AccessChunk:
     """Decode one aligned chunk of raw record bytes.
 
-    The single chunk-decode used by file replay and shared-memory
-    broadcast alike. The vector path decodes the whole chunk columnar
-    with ``numpy.frombuffer`` and builds the access objects with one
+    With numpy the whole chunk decodes columnar with
+    ``numpy.frombuffer`` and the access objects are built by one
     C-driven ``map``; without numpy the scalar ``struct.iter_unpack``
     path produces the identical objects.
 
@@ -93,6 +88,7 @@ def decode_chunk(first_index: int, chunk: bytes) -> AccessChunk:
     return result
 
 
+# wrapped by name by perfbench/layers.py (the kernels.decode layer)
 def _decode_chunk(first_index: int, chunk: bytes) -> AccessChunk:
     numpy = numpy_or_none()
     n = len(chunk) // RECORD_SIZE

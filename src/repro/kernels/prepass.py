@@ -1,6 +1,6 @@
 """Vectorized pre-pass: per-chunk classification inputs, computed once.
 
-The record-at-a-time walk re-derives the same fields for every access —
+A per-access walk re-derives the same fields for every access —
 block id (``address >> block_bits``), region id, read/write flag, stride
 delta — inside per-access Python code. :class:`AccessChunk` computes
 each of those fields for a whole chunk at once (numpy shifts over the
@@ -10,9 +10,9 @@ streaming analyses receive precomputed fields instead of re-deriving
 them per access.
 
 A chunk is *derived data only*: the :class:`~repro.trace.events.MemoryAccess`
-objects inside it are exactly the ones the record-at-a-time oracle walk
-would have produced, in the same order, so pumping chunks through the
-same per-access simulation code is bit-identical to the oracle by
+objects inside it are exactly the ones a per-record replay produces, in
+the same order, so pumping chunks through the same per-access
+simulation code is bit-identical to stepping each access by
 construction.
 """
 
@@ -25,7 +25,7 @@ from repro.telemetry import PHASE_PREPASS, phases_active
 from repro.trace.events import MemoryAccess
 
 #: records per chunk used by the generic batching wrapper (mirrors the
-#: codec's on-disk chunk granularity, see ``repro.kernels.CHUNK_RECORDS``)
+#: codec's on-disk chunk granularity, ``repro.tracestore.codec.CHUNK_RECORDS``)
 DEFAULT_CHUNK_RECORDS = 4096
 
 

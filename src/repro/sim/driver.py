@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Iterable, Optional, Protocol, Tuple
+from typing import Optional, Protocol
 
 from repro.common.config import SystemConfig
-from repro.kernels import KERNEL_VECTOR, resolve_kernel
 from repro.kernels.prepass import AccessChunk, iter_trace_chunks
 from repro.memsys.hierarchy import Hierarchy, ServiceLevel
 from repro.memsys.svb import StreamedValueBuffer
@@ -42,7 +41,7 @@ from repro.sim.results import (
     CoverageResult,
 )
 from repro.telemetry import PHASE_FINALIZE, PHASE_WALK, phases_active
-from repro.trace.container import Trace, TraceLike
+from repro.trace.container import TraceLike
 from repro.trace.events import MemoryAccess
 
 
@@ -58,9 +57,9 @@ class DriverWalk:
 
     ``step(access, block)`` advances the simulation by one access;
     ``step_chunk(chunk)`` advances it by one precomputed
-    :class:`~repro.kernels.AccessChunk` (the vector kernel's entry
-    point: block ids come from the chunk's batched pre-pass and the
-    per-access calls run inside one C-driven ``map``); ``finish()``
+    :class:`~repro.kernels.AccessChunk` (the walk's entry point: block
+    ids come from the chunk's batched pre-pass and the per-access
+    ``step`` calls run inside one C-driven ``map``); ``finish()``
     runs the end-of-trace accounting and returns the
     :class:`CoverageResult`. All are bound closures over the walk's
     hoisted state, so pushing accesses one at a time costs one call per
@@ -309,62 +308,27 @@ class SimulationDriver:
 
         return DriverWalk(step, step_chunk, finish)
 
-    def run(self, trace: TraceLike, kernel: Optional[str] = None) -> CoverageResult:
+    def run(self, trace: TraceLike) -> CoverageResult:
         """Walk ``trace`` (materialized or streaming) through the system.
 
-        Pulls the whole trace through :meth:`start`'s step closure, so a
-        pulled run and an externally pushed walk (the engine's
+        Pulls the whole trace chunk-at-a-time through :meth:`start`'s
+        ``step_chunk`` (block ids from each chunk's batched pre-pass),
+        so a pulled run and an externally pushed walk (the engine's
         multi-consumer fan-out) execute identical code and produce
-        bit-identical results. Under the vector kernel the pull happens
-        chunk-at-a-time through ``step_chunk`` — same closures, batched
-        pre-pass — and remains bit-identical by construction.
+        bit-identical results.
         """
         walk = self.start(trace.name)
+        step_chunk = walk.step_chunk
         timer = phases_active()
-        if resolve_kernel(kernel) == KERNEL_VECTOR:
-            step_chunk = walk.step_chunk
-            if timer is None:
-                for chunk in iter_trace_chunks(trace):
-                    step_chunk(chunk)
-                return walk.finish()
-            for chunk in iter_trace_chunks(trace):
-                start = perf_counter()
-                step_chunk(chunk)
-                timer.add(PHASE_WALK, perf_counter() - start)
-            return self._finish_timed(walk, timer)
-        step = walk.step
         if timer is None:
-            for access, block in self._access_blocks(trace):
-                step(access, block)
+            for chunk in iter_trace_chunks(trace):
+                step_chunk(chunk)
             return walk.finish()
-        # the python pump times the whole record loop (trace production
-        # included): per-record timer calls would dwarf the walk itself
-        start = perf_counter()
-        for access, block in self._access_blocks(trace):
-            step(access, block)
-        timer.add(PHASE_WALK, perf_counter() - start)
-        return self._finish_timed(walk, timer)
-
-    @staticmethod
-    def _finish_timed(walk: "DriverWalk", timer) -> CoverageResult:
+        for chunk in iter_trace_chunks(trace):
+            start = perf_counter()
+            step_chunk(chunk)
+            timer.add(PHASE_WALK, perf_counter() - start)
         start = perf_counter()
         result = walk.finish()
         timer.add(PHASE_FINALIZE, perf_counter() - start)
         return result
-
-    def _access_blocks(
-        self, trace: TraceLike
-    ) -> Iterable[Tuple[MemoryAccess, int]]:
-        """Pairs of (access, block id), precomputed when possible.
-
-        A materialized :class:`Trace` gets its block ids computed in one
-        C-speed comprehension pass; a streaming source computes them on
-        the fly so the walk stays O(1) in memory.
-        """
-        block_bits = self.system.address_map.block_bits
-        if isinstance(trace, Trace):
-            accesses = trace.accesses
-            blocks = [a.address >> block_bits for a in accesses]
-            return zip(accesses, blocks)
-        return ((a, a.address >> block_bits) for a in trace)
-

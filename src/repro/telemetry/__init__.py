@@ -228,16 +228,6 @@ class RunTelemetry:
         if span:
             self.attempt_detail(job_hash, span)
 
-    def absorb_bundle(self, job_hashes, payload: dict) -> None:
-        """Fold a broadcast bundle's envelope: metrics once, detail each."""
-        if not payload:
-            return
-        self.registry.merge(payload.get("metrics") or {})
-        span = payload.get("span")
-        if span:
-            for job_hash in job_hashes:
-                self.attempt_detail(job_hash, span)
-
     # -- serialization ---------------------------------------------------
 
     def write(self, directory, run_id: Optional[str] = None) -> "List[Path]":

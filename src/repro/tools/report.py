@@ -3,8 +3,13 @@
 Reads the run directory's three artifacts — ``manifest.json`` (status),
 the write-ahead journal (job lifecycle, timestamps), and the telemetry
 plane's ``metrics.json`` (counters, phase timers, per-job spans) — and
-prints a run report: header, job outcomes, a per-kind throughput table,
-fault counters, the slowest jobs, and the hot-path phase breakdown.
+prints a run report: header, job outcomes, the run's elapsed wall time
+and overall throughput, a per-kind job/access table, fault counters,
+the slowest jobs, and the hot-path phase breakdown.
+
+Wall time is the run's elapsed time, first to last journal event. Job
+walls overlap — a serial fan-out group walks its jobs together and pool
+workers run side by side — so they are never summed.
 
 Degrades gracefully: a crashed run has no ``metrics.json`` (it is
 written at run end), so the report falls back to the journal alone —
@@ -43,7 +48,7 @@ from repro.telemetry import METRICS_NAME, PHASES
 FAULT_COUNTERS = (
     "retries", "requeued", "timeouts", "pool_respawns", "quarantined",
     "cache_corrupt", "replay_fallbacks", "isolation_fallbacks",
-    "serial_fallbacks", "broadcast_fallbacks", "failures",
+    "serial_fallbacks", "failures",
 )
 
 SLOWEST = 5
@@ -82,6 +87,15 @@ def _job_timings(events: List[Dict[str, Any]]) -> Dict[str, float]:
     return walls
 
 
+def _elapsed(events: List[Dict[str, Any]]) -> Optional[float]:
+    """Seconds from the first to the last timestamped journal event."""
+    stamps = [
+        float(event["t"]) for event in events
+        if isinstance(event.get("t"), (int, float))
+    ]
+    return max(stamps) - min(stamps) if len(stamps) > 1 else None
+
+
 def build_report(record: RunRecord, events: List[Dict[str, Any]],
                  metrics: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """Everything the renderer needs, as one JSON-able dict."""
@@ -107,47 +121,26 @@ def build_report(record: RunRecord, events: List[Dict[str, Any]],
     }
     kinds: Dict[str, Dict[str, Any]] = {}
 
-    def kind_row(kind: str) -> Dict[str, Any]:
-        return kinds.setdefault(kind, {
+    for job_hash, describe in record.scheduled.items():
+        row = kinds.setdefault(kind_of[job_hash], {
             "jobs": 0, "completed": 0, "cached": 0, "failed": 0,
-            "retries": 0, "accesses": 0, "wall_s": 0.0,
+            "retries": 0, "accesses": 0,
         })
-
-    for job_hash in record.scheduled:
-        row = kind_row(kind_of[job_hash])
         row["jobs"] += 1
         if record.completed.get(job_hash) == "cache":
             row["cached"] += 1
         elif job_hash in record.completed:
             row["completed"] += 1
+            row["accesses"] += int(describe.get("length", 0))
         if job_hash in record.failed:
             row["failed"] += 1
         row["retries"] += max(0, record.attempts.get(job_hash, 1) - 1)
-    for name, value in counters.items():
-        if name.startswith("walk.accesses."):
-            kind_row(name[len("walk.accesses."):])["accesses"] += int(value)
+    accesses = sum(row["accesses"] for row in kinds.values())
+    elapsed = _elapsed(events)
 
-    # wall time per kind: telemetry spans when present, else the
-    # journal's per-event timestamps
+    # slowest jobs: spans when present, else journal timings (a job's
+    # wall overlaps its group's and its pool neighbours')
     timed_source = "spans" if spans else "journal"
-    if spans:
-        for span in spans:
-            if span.get("status") == "ok" and span.get("wall_s"):
-                kind_row(str(span.get("kind", "?")))["wall_s"] += float(
-                    span["wall_s"]
-                )
-    else:
-        for job_hash, wall in _job_timings(events).items():
-            kind_row(kind_of.get(job_hash, "?"))["wall_s"] += wall
-    for row in kinds.values():
-        wall = row["wall_s"]
-        row["wall_s"] = round(wall, 3)
-        row["accesses_per_second"] = (
-            round(row["accesses"] / wall, 1)
-            if wall > 0 and row["accesses"] else None
-        )
-
-    # slowest jobs: spans when present, else journal timings
     slowest: List[Dict[str, Any]] = []
     if spans:
         closed = [s for s in spans if s.get("wall_s")]
@@ -206,6 +199,11 @@ def build_report(record: RunRecord, events: List[Dict[str, Any]],
         "resumed_by": resumed_by,
         "resumed_from": resumed_from,
         "telemetry": metrics is not None,
+        "elapsed_s": round(elapsed, 3) if elapsed is not None else None,
+        "accesses": accesses,
+        "accesses_per_second": (
+            round(accesses / elapsed, 1) if elapsed and accesses else None
+        ),
         "timings_from": timed_source,
         "jobs": {
             "scheduled": len(record.scheduled),
@@ -271,24 +269,29 @@ def render(report: Dict[str, Any]) -> str:
         f"{jobs['retries']} retries"
     )
 
+    if report["elapsed_s"] is not None:
+        rate = report["accesses_per_second"]
+        lines.append(
+            f"elapsed      {report['elapsed_s']:.2f}s (first to last "
+            f"journal event), {report['accesses']} accesses simulated, "
+            f"{rate if rate is not None else '-'} acc/s"
+        )
+
     if report["kinds"]:
         lines.append("")
         header = (
             f"{'kind':<12} {'jobs':>5} {'done':>5} {'cache':>5} "
-            f"{'fail':>5} {'accesses':>10} {'wall s':>8} {'acc/s':>12}"
+            f"{'fail':>5} {'accesses':>10}"
         )
         lines.append(header)
         lines.append("-" * len(header))
         for kind in sorted(report["kinds"]):
             row = report["kinds"][kind]
-            rate = row.get("accesses_per_second")
             lines.append(
                 f"{kind:<12} {row['jobs']:>5} {row['completed']:>5} "
                 f"{row['cached']:>5} {row['failed']:>5} "
-                f"{row['accesses']:>10} {row['wall_s']:>8.2f} "
-                f"{rate if rate is not None else '-':>12}"
+                f"{row['accesses']:>10}"
             )
-        lines.append(f"(wall times from {report['timings_from']})")
 
     if report["faults"]:
         lines.append("")
@@ -299,7 +302,7 @@ def render(report: Dict[str, Any]) -> str:
 
     if report["slowest"]:
         lines.append("")
-        lines.append("slowest jobs:")
+        lines.append("slowest jobs (walls overlap, so never summed):")
         for entry in report["slowest"]:
             worker = f" [{entry['worker']}]" if entry.get("worker") else ""
             lines.append(
@@ -307,6 +310,7 @@ def render(report: Dict[str, Any]) -> str:
                 f"({entry['kind']}, attempt {entry['attempt']}, "
                 f"{entry['status']}){worker}"
             )
+        lines.append(f"  (wall times from {report['timings_from']})")
 
     if report["phases"]:
         lines.append("")

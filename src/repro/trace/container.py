@@ -77,8 +77,8 @@ class Trace:
     def iter_chunks(self) -> Iterator["AccessChunk"]:
         """The trace as aligned :class:`~repro.kernels.AccessChunk` runs.
 
-        The chunk-granular walk for the vector kernel: same accesses,
-        same order, batched by slicing (no per-access iteration).
+        The chunk-granular walk: same accesses, same order, batched by
+        slicing (no per-access iteration).
         """
         from repro.kernels.prepass import chunk_sequence
 

@@ -13,25 +13,16 @@ package makes generation a shared, cacheable resource instead:
   :class:`~repro.trace.container.TraceSource`, and record-during-walk
   so the first generation pass is never wasted.
 
-* :mod:`repro.tracestore.broadcast` — the shared-memory broadcast
-  plane: one reader process walks a key once and tees every chunk to
-  all ``--jobs`` consumers over a slot-paced ring, so a multi-worker
-  sweep over one key costs exactly one walk.
-
 The engine (:mod:`repro.engine`) builds on this: serial runs fan one
 trace walk out to every job sharing a trace key, and ``--jobs N``
-workers broadcast from (or replay) the store instead of regenerating
-per job.
+workers replay the store instead of regenerating per job.
 """
 
-from repro.tracestore.broadcast import broadcast_supported, resolve_broadcast
 from repro.tracestore.codec import (
     CODEC_VERSION,
     RECORD_SIZE,
-    TraceEntryInfo,
     TraceFormatError,
     read_accesses,
-    read_entry_info,
     read_header,
     write_trace,
 )
@@ -46,17 +37,13 @@ from repro.tracestore.store import (
 __all__ = [
     "CODEC_VERSION",
     "RECORD_SIZE",
-    "TraceEntryInfo",
     "TraceFormatError",
     "TraceKey",
     "TraceStore",
     "TraceStoreStats",
-    "broadcast_supported",
     "default_trace_store_dir",
     "read_accesses",
-    "read_entry_info",
     "read_header",
-    "resolve_broadcast",
     "trace_key_hash",
     "write_trace",
 ]

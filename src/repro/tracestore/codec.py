@@ -21,7 +21,7 @@ corrupted files instead of replaying garbage into a simulation.
 
 The index section (codec version 2) maps each aligned
 :data:`CHUNK_RECORDS`-record chunk to its byte offset and its own CRC.
-It is what makes the chunk the replay unit: the vector kernel decodes
+It is what makes the chunk the replay unit: the trace walk decodes
 whole chunks at once (:func:`read_access_chunks`), and a windowed
 replay (``start_record=N``) seeks straight to the chunk containing
 record *N* and verifies only the chunks it actually reads — warm-up
@@ -68,7 +68,7 @@ _INDEX_HEADER = struct.Struct("<4sI")  # magic, entry count
 _INDEX_ENTRY = struct.Struct("<QQI")  # first record index, byte offset, crc32
 
 #: records per aligned chunk: the write/read syscall granularity, the
-#: index granularity, and the vector kernel's decode unit
+#: index granularity, and the trace walk's decode unit
 CHUNK_RECORDS = 4096
 
 
@@ -89,7 +89,6 @@ class ChunkIndexEntry(NamedTuple):
 
 def encode_into(
     handle, header: Dict[str, Any], accesses: Iterable[MemoryAccess],
-    on_chunk=None,
 ) -> Iterator[MemoryAccess]:
     """Encode ``accesses`` into an open binary ``handle``, re-yielding
     each access after it is buffered.
@@ -101,12 +100,6 @@ def encode_into(
     contributes one index entry; the index and footer are written
     when — and only when — the input is exhausted, so an abandoned walk
     leaves an unterminated file that readers reject.
-
-    ``on_chunk(first_record_index, chunk_bytes, crc)``, when given, is
-    called for every flushed chunk with exactly the bytes and CRC that
-    went into the file — the broadcast plane taps this to stream a
-    cold key's chunks to shared-memory consumers *while* the file is
-    being recorded, so a cold sweep still costs one walk.
 
     Raises:
         ValueError: if ``accesses`` yields non-consecutive indices.
@@ -131,8 +124,6 @@ def encode_into(
         crc = zlib.crc32(chunk, crc)
         offset += len(chunk)
         handle.write(chunk)
-        if on_chunk is not None:
-            on_chunk(chunk_start, bytes(chunk), chunk_crc)
         chunk_start = count
         chunk.clear()
 
@@ -290,68 +281,6 @@ def _read_index_entries(path: Path, layout: _Layout) -> List[ChunkIndexEntry]:
     return entries
 
 
-class TraceEntryInfo(NamedTuple):
-    """Structural metadata of one trace file — no payload decode.
-
-    Everything a reader needs to plan chunk-granular work (broadcast
-    slot sizing, windowed seeks, span accounting) from one validation
-    pass: the header, the record count, the payload geometry, and the
-    per-chunk index. Produced by :func:`read_entry_info`; exposed as
-    :meth:`repro.tracestore.TraceStore.open_entry`.
-    """
-
-    path: Path
-    header: Dict[str, Any]
-    record_count: int
-    payload_start: int
-    payload_bytes: int
-    payload_crc: int
-    chunks: List[ChunkIndexEntry]
-
-    @property
-    def chunk_count(self) -> int:
-        return len(self.chunks)
-
-    def record_spans(self) -> List[Tuple[int, int]]:
-        """Half-open ``(first_record, end_record)`` span per chunk."""
-        return [
-            (entry.record_index,
-             min(entry.record_index + CHUNK_RECORDS, self.record_count))
-            for entry in self.chunks
-        ]
-
-    def chunk_bytes(self, position: int) -> int:
-        """Byte length of chunk ``position`` (the tail may be short)."""
-        entry = self.chunks[position]
-        return min(CHUNK_RECORDS * RECORD_SIZE,
-                   self.payload_bytes - entry.byte_offset)
-
-
-def read_entry_info(path: Union[str, Path]) -> TraceEntryInfo:
-    """Validate ``path`` once and return its structural metadata.
-
-    One layout validation + one index read; payload bytes are never
-    touched. This is the single entry point behind every "what shape is
-    this trace?" question — windowed replay, the broadcast reader, and
-    :meth:`TraceStore.open_entry` all plan from it instead of re-reading
-    the footer per question.
-
-    Raises:
-        TraceFormatError: on structural damage or index inconsistency.
-    """
-    path = Path(path)
-    layout = _read_layout(path)
-    return TraceEntryInfo(
-        path=path,
-        header=layout.header,
-        record_count=layout.count,
-        payload_start=layout.payload_start,
-        payload_bytes=layout.payload_bytes,
-        payload_crc=layout.crc,
-        chunks=_read_index_entries(path, layout),
-    )
-
-
 def read_chunk_index(path: Union[str, Path]) -> List[ChunkIndexEntry]:
     """The per-chunk byte-offset index from ``path``'s index section.
 
@@ -422,15 +351,15 @@ def _iter_chunk_bytes_from(
     """
     if start_record < 0:
         raise ValueError(f"start_record must be >= 0, got {start_record}")
-    info = read_entry_info(path)
-    if start_record >= info.record_count:
+    layout = _read_layout(path)
+    if start_record >= layout.count:
         return
-    first = start_record // CHUNK_RECORDS
+    entries = _read_index_entries(path, layout)
     with path.open("rb") as handle:
-        for position in range(first, info.chunk_count):
-            entry = info.chunks[position]
-            handle.seek(info.payload_start + entry.byte_offset)
-            want = info.chunk_bytes(position)
+        for entry in entries[start_record // CHUNK_RECORDS:]:
+            handle.seek(layout.payload_start + entry.byte_offset)
+            want = min(CHUNK_RECORDS * RECORD_SIZE,
+                       layout.payload_bytes - entry.byte_offset)
             chunk = _read_exact(handle, want, path)
             if zlib.crc32(chunk) != entry.crc:
                 raise TraceFormatError(
@@ -438,12 +367,6 @@ def _iter_chunk_bytes_from(
                     f"{entry.record_index}"
                 )
             yield entry.record_index, chunk
-
-
-#: chunk decode lives in :mod:`repro.kernels.decode` so the broadcast
-#: plane shares it byte-for-byte; kept under the old private name for
-#: in-package callers
-_decode_chunk = decode_chunk
 
 
 def read_access_chunks(
@@ -468,7 +391,7 @@ def read_access_chunks(
     else:
         raw = _iter_chunk_bytes(path)
     for first_index, chunk in raw:
-        decoded = _decode_chunk(first_index, chunk)
+        decoded = decode_chunk(first_index, chunk)
         if start_record > first_index:
             trim = start_record - first_index
             decoded = AccessChunk(

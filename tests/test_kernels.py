@@ -1,33 +1,32 @@
-"""Tests for the kernel layer (:mod:`repro.kernels`): chunked codec
-decode, the vectorized pre-pass, kernel selection, and vector-vs-python
-parity across every experiment, both engine modes, replay, and
-fault-injected runs."""
+"""Tests for the chunked trace walk (:mod:`repro.kernels`): chunked
+codec decode, the vectorized pre-pass, and parity of the engine's
+chunked pump with a per-access reference walk across every experiment,
+serial and pool execution, replay, and fault-injected runs."""
 
 import pytest
 
-import repro.kernels as kernels
 from repro.engine import Engine, JobGraph, RetryPolicy
+from repro.engine.exec import (
+    analysis_for_job,
+    build_prefetcher,
+    timing_model_for_job,
+)
 from repro.engine.faultinject import ENV_VAR as FAULT_ENV
+from repro.engine.job import KIND_COVERAGE, KIND_TIMING
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import EXPERIMENTS
 from repro.experiments import fig9, fig10
-from repro.kernels import (
-    CHUNK_RECORDS,
-    ENV_VAR,
-    KERNEL_PYTHON,
-    KERNEL_VECTOR,
-    default_kernel,
-    resolve_kernel,
-)
 from repro.kernels.prepass import (
     AccessChunk,
     chunk_accesses,
     iter_trace_chunks,
 )
+from repro.sim.driver import SimulationDriver
 from repro.trace.container import Trace
 from repro.trace.events import MemoryAccess
 from repro.tracestore import TraceFormatError, write_trace, read_accesses
 from repro.tracestore.codec import (
+    CHUNK_RECORDS,
     FOOTER_SIZE,
     RECORD_SIZE,
     _read_layout,
@@ -65,7 +64,6 @@ def trace_path(tmp_path_factory, generated):
 
 @pytest.fixture(autouse=True)
 def _no_ambient_overrides(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
     monkeypatch.delenv(FAULT_ENV, raising=False)
 
 
@@ -180,41 +178,6 @@ class TestPrepass:
         assert _concat(iter_trace_chunks(iter(generated))) == generated
 
 
-class TestKernelSelection:
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, KERNEL_PYTHON)
-        assert resolve_kernel(KERNEL_VECTOR) == KERNEL_VECTOR
-
-    def test_environment_beats_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, KERNEL_PYTHON)
-        assert resolve_kernel(None) == KERNEL_PYTHON
-
-    def test_default_tracks_numpy_availability(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_numpy_checked", True)
-        monkeypatch.setattr(kernels, "_numpy", None)
-        assert default_kernel() == KERNEL_PYTHON
-
-    @pytest.mark.parametrize("bad", ["turbo", "PYTHONIC", ""])
-    def test_unknown_kernel_rejected(self, bad, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_kernel(bad)
-        monkeypatch.setenv(ENV_VAR, bad)
-        if bad.strip():
-            with pytest.raises(ValueError):
-                resolve_kernel(None)
-
-    def test_vector_without_numpy_notes_fallback_once(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(kernels, "_numpy_checked", True)
-        monkeypatch.setattr(kernels, "_numpy", None)
-        monkeypatch.setattr(kernels, "_fallback_noted", False)
-        assert resolve_kernel(KERNEL_VECTOR) == KERNEL_VECTOR
-        assert resolve_kernel(KERNEL_VECTOR) == KERNEL_VECTOR
-        err = capsys.readouterr().err
-        assert err.count("falling back") == 1
-
-
 def _parity_config():
     config = ExperimentConfig.small()
     config.trace_length = 6_000
@@ -222,41 +185,76 @@ def _parity_config():
     return config
 
 
+def reference_result(job):
+    """``job`` run by feeding each generated access through the
+    per-access ``step`` closure (``DriverWalk.step``) or
+    ``StreamingAnalysis.update`` — no chunks, no pump, no engine."""
+    accesses = stream_workload(job.workload, job.length, job.seed)
+    if job.kind in (KIND_COVERAGE, KIND_TIMING):
+        prefetcher = build_prefetcher(job.prefetcher, job.workload)
+        model = timing_model_for_job(job) if job.kind == KIND_TIMING else None
+        walk = SimulationDriver(
+            job.system, prefetcher, service_consumer=model
+        ).start(job.workload)
+        block_bits = job.system.address_map.block_bits
+        for access in accesses:
+            walk.step(access, access.address >> block_bits)
+        coverage = walk.finish()
+        return coverage if model is None else model.finalize()
+    analysis = analysis_for_job(job)
+    for access in accesses:
+        analysis.update(access)
+    return analysis.finalize()
+
+
+#: job hash -> reference result, shared across the parity tests (the
+#: experiments' graphs overlap)
+_REFERENCE = {}
+
+
+def reference_results(graph):
+    for job in graph:
+        if job.job_hash not in _REFERENCE:
+            _REFERENCE[job.job_hash] = reference_result(job)
+    return {job.job_hash: _REFERENCE[job.job_hash] for job in graph}
+
+
+def _declare(modules, config):
+    graph = JobGraph()
+    for module in modules:
+        module.declare(config, graph)
+    return graph
+
+
 class TestParity:
-    """The acceptance gate: both kernels produce bit-identical results."""
+    """The acceptance gate: the engine's chunked walk, in every mode,
+    equals the per-access reference walk."""
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_every_experiment_serial(self, name):
-        module = EXPERIMENTS[name]
-        config = _parity_config()
-        reference = module.run(config, engine=Engine(kernel=KERNEL_PYTHON))
-        vectored = module.run(config, engine=Engine(kernel=KERNEL_VECTOR))
-        assert reference == vectored
+        graph = _declare([EXPERIMENTS[name]], _parity_config())
+        assert dict(Engine().run(graph)) == reference_results(graph)
 
-    def _sweep(self, **engine_kwargs):
-        config = _parity_config()
-        graph = JobGraph()
-        fig9.declare(config, graph)
-        fig10.declare(config, graph)
-        return dict(Engine(**engine_kwargs).run(graph))
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_every_experiment_jobs2(self, name, tmp_path):
+        graph = _declare([EXPERIMENTS[name]], _parity_config())
+        engine = Engine(jobs=2, trace_store=tmp_path)
+        assert dict(engine.run(graph)) == reference_results(graph)
 
     def test_reference_sweep_jobs2(self, tmp_path):
-        stores = tmp_path / "py", tmp_path / "vec"
-        reference = self._sweep(
-            jobs=2, trace_store=stores[0], kernel=KERNEL_PYTHON
-        )
-        vectored = self._sweep(
-            jobs=2, trace_store=stores[1], kernel=KERNEL_VECTOR
-        )
-        assert reference == vectored
+        graph = _declare([fig9, fig10], _parity_config())
+        serial = dict(Engine().run(graph))
+        pooled = dict(Engine(jobs=2, trace_store=tmp_path).run(graph))
+        assert serial == pooled == reference_results(graph)
 
     def test_reference_sweep_fault_injected(self, tmp_path, monkeypatch):
+        graph = _declare([fig9, fig10], _parity_config())
+        serial = dict(Engine().run(graph))
         monkeypatch.setenv(FAULT_ENV, "trace_corrupt:1")
-        retry = RetryPolicy(attempts=4, backoff=0.01)
-        reference = self._sweep(
-            trace_store=tmp_path / "py", retry=retry, kernel=KERNEL_PYTHON
+        engine = Engine(
+            jobs=2, trace_store=tmp_path,
+            retry=RetryPolicy(attempts=4, backoff=0.01),
         )
-        vectored = self._sweep(
-            trace_store=tmp_path / "vec", retry=retry, kernel=KERNEL_VECTOR
-        )
-        assert reference == vectored
+        injected = dict(engine.run(graph))
+        assert engine.stats.quarantined > 0
+        assert injected == serial == reference_results(graph)

@@ -2,9 +2,8 @@
 runner's ``metrics.json``/``trace.json`` artifacts, ``repro-report``,
 and fsck's handling of telemetry files.
 
-Cross-process folding parity (serial vs pool vs broadcast counters) has
-its own tests here plus path-specific ones in ``test_engine.py`` and
-``test_broadcast.py``.
+Cross-process folding parity (serial vs pool counters) has its own
+tests here plus path-specific ones in ``test_engine.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -350,21 +350,20 @@ class TestRunTelemetryWrite:
 def _invariant_counters(engine: Engine) -> "dict[str, float]":
     """The counters every execution path must agree on byte-for-byte.
 
-    (store_hits / generation_passes legitimately differ between replay
-    and broadcast, and phase seconds are wall time — only the job
-    outcome and access counters are path-invariant.)
+    (store_hits / generation_passes legitimately differ between serial
+    fan-out and pool replay, and phase seconds are wall time — only the
+    job outcome and access counters are path-invariant.)
     """
     registry = engine.telemetry.registry
     return {**registry.counters("jobs."), **registry.counters("walk.")}
 
 
 class TestFoldingParity:
-    def test_serial_pool_broadcast_fold_identically(self, tmp_path):
+    def test_serial_pool_fold_identically(self, tmp_path):
         baseline = None
         for name, kwargs in (
             ("serial", dict(jobs=1)),
             ("pool", dict(jobs=2)),
-            ("broadcast", dict(jobs=2, broadcast="on")),
         ):
             graph, _ = build_graph()
             engine = Engine(trace_store=tmp_path / f"store-{name}",
@@ -497,6 +496,41 @@ class TestReportTool:
         assert report["jobs"]["completed"] == 1
         assert report["kinds"]["repetition"]["accesses"] > 0
         assert report["timings_from"] == "spans"
+
+    def test_serial_group_reports_elapsed_not_summed_walls(
+        self, tmp_path, capsys
+    ):
+        # three jobs over one trace key share one serial fan-out walk,
+        # and each job's span covers that whole walk: summing job walls
+        # would report about 3x the time the run took
+        _, jobs = build_graph()
+        one_key = JobGraph()
+        for job in jobs[:3]:
+            one_key.add(job)
+        assert len({job.trace_key for job in one_key}) == 1
+        cache = tmp_path / "cache"
+        started = time.time()
+        journal = RunJournal.create(runs_root(cache), header={
+            "argv": ["fig9"], "experiments": ["fig9"],
+        }, fsync=False)
+        with Engine(cache_dir=cache, journal=journal) as engine:
+            engine.run(one_key)
+            journal.finish("clean", stats=engine.stats.as_dict())
+            engine.telemetry.write(journal.directory, journal.run_id)
+        journal.close()
+        elapsed = time.time() - started
+
+        assert report_main([
+            journal.run_id, "--cache-dir", str(cache), "--json",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert 0 < report["elapsed_s"] <= elapsed
+        assert report["accesses"] == 3 * LENGTH
+        assert report["accesses_per_second"] >= 3 * LENGTH / elapsed
+        row = report["kinds"]["coverage"]
+        assert row["jobs"] == row["completed"] == 3
+        assert row["accesses"] == 3 * LENGTH
+        assert "wall_s" not in row
 
     def test_degraded_run_shows_faults(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(FAULT_ENV, "job_fail:1")

@@ -229,11 +229,7 @@ class TestFanOutParity:
 
     def test_store_replay_parallel_matches_solo(self, system, solo, tmp_path):
         graph, jobs = _sweep_graph(system)
-        # pin the pool replay path: under broadcast (the default) wave
-        # consumers are fed from shared memory instead of replaying, so
-        # the per-job store-hit accounting below would not apply —
-        # tests/test_broadcast.py asserts that plane's cost model
-        engine = Engine(jobs=2, trace_store=tmp_path, broadcast="off")
+        engine = Engine(jobs=2, trace_store=tmp_path)
         results = engine.run(graph)
         for job in jobs:
             assert results[job] == solo[job.job_hash], job.label()
