@@ -116,7 +116,11 @@ class LRUSet(Generic[K]):
         return self._table.touch(key)
 
     def discard(self, key: K) -> bool:
-        return self._table.pop(key) is not None or False
+        """Remove ``key``; returns whether it was a member."""
+        if key not in self._table:
+            return False
+        self._table.pop(key)
+        return True
 
     def clear(self) -> None:
         self._table.clear()

@@ -43,6 +43,8 @@ class AccessOutcome:
 #: L1 hit never evicts; consumers treat outcomes as read-only
 _L1_HIT = AccessOutcome(ServiceLevel.L1)
 _L1_PREFETCH_HIT = AccessOutcome(ServiceLevel.L1, prefetch_hit=True)
+_L2 = ServiceLevel.L2
+_MEMORY = ServiceLevel.MEMORY
 
 
 class Hierarchy:
@@ -57,34 +59,43 @@ class Hierarchy:
         self.l1 = Cache(config.l1)
         self.l2 = Cache(config.l2)
         self.stats = StatGroup("hierarchy")
-        # hot-loop binding: ``access`` runs once per simulated access and
+        # hot-loop bindings: ``access`` runs once per simulated access and
         # bumps two counters — increment the counter mapping directly
-        # instead of paying a method call per bump
+        # instead of paying a method call per bump; it also probes and
+        # fills the L1 set in place (``Cache.demand_lookup`` + ``fill``
+        # semantics) rather than through two calls and a ``CacheAccess``
         self._counters = self.stats._counters
+        self._l1_sets = self.l1._sets
+        self._l1_num_sets = self.l1._num_sets
+        self._l1_assoc = self.l1._assoc
 
     def access(self, block: int) -> AccessOutcome:
         """Demand access to ``block``; fills on miss; classifies the level."""
         counters = self._counters
         counters["accesses"] += 1
-        hit, prefetch_hit = self.l1.demand_lookup(block)
-        if hit:
+        ways = self._l1_sets[block % self._l1_num_sets]
+        if block in ways:
             counters["l1_hits"] += 1
-            return _L1_PREFETCH_HIT if prefetch_hit else _L1_HIT
+            was_prefetched = ways[block]
+            ways[block] = False  # demand reference: no longer a useless prefetch
+            ways.move_to_end(block)
+            return _L1_PREFETCH_HIT if was_prefetched else _L1_HIT
 
-        outcome_level = ServiceLevel.L2
         if self.l2.probe_fill(block):
             counters["l2_hits"] += 1
+            level = _L2
         else:
             counters["offchip_misses"] += 1
-            outcome_level = ServiceLevel.MEMORY
+            level = _MEMORY
 
-        fill = self.l1.fill(block)
-        evicted = fill.evicted_block
-        return AccessOutcome(
-            outcome_level,
-            l1_evictions=() if evicted is None else (evicted,),
-            l1_unused_prefetch_evicted=fill.evicted_unused_prefetch,
-        )
+        # L1 fill of a block just found absent: evict the set's LRU way
+        # when the set is full, then install as demand-referenced
+        if len(ways) >= self._l1_assoc:
+            evicted, evicted_unused = ways.popitem(last=False)
+            ways[block] = False
+            return AccessOutcome(level, (evicted,), evicted_unused)
+        ways[block] = False
+        return AccessOutcome(level)
 
     def fill_from_svb(self, block: int) -> AccessOutcome:
         """Move a consumed SVB block into the hierarchy (L1 + L2)."""

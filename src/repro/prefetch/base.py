@@ -84,6 +84,10 @@ class Prefetcher(abc.ABC):
         """A streamed block left the SVB unused (keeps in-flight counts
         honest so streams are not throttled by stale fetches)."""
 
+    def has_pending(self) -> bool:
+        """Whether :meth:`pop_requests` would return any request."""
+        return bool(self._pending)
+
     def pop_requests(self) -> List[PrefetchRequest]:
         """Drain the prefetch requests produced by recent events."""
         out, self._pending = self._pending, []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.common.config import StrideConfig
-from repro.prefetch.base import TARGET_L1, AccessEvent, Prefetcher, PrefetchRequest
+from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
 from repro.prefetch.stride import StridePrefetcher
 
 
@@ -39,14 +39,23 @@ class CompositePrefetcher(Prefetcher):
     def on_svb_discard(self, block: int, stream_id: int) -> None:
         self.main.on_svb_discard(block, stream_id)
 
+    def has_pending(self) -> bool:
+        return self.stride.has_pending() or self.main.has_pending()
+
     def pop_requests(self) -> List[PrefetchRequest]:
-        out = [
-            PrefetchRequest(r.block, -1, TARGET_L1)
-            for r in self.stride.pop_requests()
-        ]
-        for request in self.main.pop_requests():
-            target = request.target or self.main.install_target
-            out.append(PrefetchRequest(request.block, request.stream_id, target))
+        main = self.main
+        # the common case on the walk: neither engine asked for anything
+        if not self.stride._pending and not main.has_pending():
+            return []
+        # stride requests already name TARGET_L1 and stream -1; a main
+        # request that names its target is passed through unchanged too
+        out = self.stride.pop_requests()
+        for request in main.pop_requests():
+            if not request.target:
+                request = PrefetchRequest(
+                    request.block, request.stream_id, main.install_target
+                )
+            out.append(request)
         return out
 
     def finish(self) -> None:

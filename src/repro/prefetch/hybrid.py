@@ -48,6 +48,9 @@ class NaiveHybridPrefetcher(Prefetcher):
     def on_svb_discard(self, block: int, stream_id: int) -> None:
         self.tms.on_svb_discard(block, stream_id)
 
+    def has_pending(self) -> bool:
+        return self.tms.has_pending() or self.sms.has_pending()
+
     def pop_requests(self) -> "list[PrefetchRequest]":
         out = []
         for request in self.tms.pop_requests():

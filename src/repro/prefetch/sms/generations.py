@@ -57,8 +57,9 @@ class GenerationRecord:
 
 @dataclass(slots=True)
 class ObserveResult:
-    """What the AGT saw for one access (one instance per observed access;
-    consumers treat it as read-only)."""
+    """What the AGT saw for one access. Every non-trigger access to a
+    generation gets the same instance, so consumers treat it as
+    read-only."""
 
     is_trigger: bool
     record: GenerationRecord
@@ -80,22 +81,28 @@ class ActiveGenerationTable:
         self._region_shift = address_map.region_block_bits
         self._offset_mask = address_map.blocks_per_region - 1
         self._on_end = on_generation_end
-        self._table: LRUTable[int, GenerationRecord] = LRUTable(
+        #: region -> its generation's non-trigger ObserveResult, made once
+        #: when the generation starts and returned on every later access
+        self._table: LRUTable[int, ObserveResult] = LRUTable(
             entries, on_evict=self._evict
         )
+        # ``observe`` looks up and refreshes its region in the table's
+        # OrderedDict directly: ``LRUTable.get`` without the call
+        self._active = self._table._data
         self.generations_started = 0
         self.generations_ended = 0
 
-    def _evict(self, region: int, record: GenerationRecord) -> None:
+    def _evict(self, region: int, active: ObserveResult) -> None:
         self.generations_ended += 1
         if self._on_end is not None:
-            self._on_end(record)
+            self._on_end(active.record)
 
     def is_active(self, region: int) -> bool:
         return region in self._table
 
     def get(self, region: int) -> Optional[GenerationRecord]:
-        return self._table.peek(region)
+        active = self._table.peek(region)
+        return None if active is None else active.record
 
     def observe(
         self, pc: int, block: int, offchip: bool, global_miss_count: int = 0
@@ -110,9 +117,9 @@ class ActiveGenerationTable:
         """
         region = block >> self._region_shift
         offset = block & self._offset_mask
-        record = self._table.get(region)
+        active = self._active.get(region)
         bump = 1 if offchip else 0
-        if record is None:
+        if active is None:
             record = GenerationRecord(
                 region=region,
                 trigger_pc=pc,
@@ -120,9 +127,11 @@ class ActiveGenerationTable:
                 touched={offset},
                 last_miss_count=global_miss_count + bump,
             )
-            self._table.put(region, record)
+            self._table.put(region, ObserveResult(False, record))
             self.generations_started += 1
             return ObserveResult(is_trigger=True, record=record)
+        self._active.move_to_end(region)
+        record = active.record
         if offset not in record.touched:
             record.touched.add(offset)
             delta = max(0, global_miss_count - record.last_miss_count)
@@ -130,21 +139,21 @@ class ActiveGenerationTable:
                 SequenceElement(offset=offset, delta=delta, offchip=offchip)
             )
             record.last_miss_count = global_miss_count + bump
-        return ObserveResult(is_trigger=False, record=record)
+        return active
 
     def on_l1_eviction(self, block: int) -> None:
         """End the generation owning ``block`` if it touched that block."""
         region = block >> self._region_shift
-        record = self._table.peek(region)
-        if record is None:
+        active = self._table.peek(region)
+        if active is None:
             return
-        if (block & self._offset_mask) in record.touched:
+        if (block & self._offset_mask) in active.record.touched:
             self._table.pop(region)
-            self._evict(region, record)
+            self._evict(region, active)
 
     def flush(self) -> None:
         """End every active generation (end-of-run training)."""
         for region in list(self._table):
-            record = self._table.pop(region)
-            if record is not None:
-                self._evict(region, record)
+            active = self._table.pop(region)
+            if active is not None:
+                self._evict(region, active)

@@ -6,6 +6,11 @@ block's position in the observed first-touch order, and its reconstruction
 delta (global misses skipped since the previous element, §3.1/§4.3 —
 40 bytes per entry: 32 blocks x (2-bit counter + 8-bit delta)). Blocks
 whose counters reach the threshold are predicted, in stored order.
+
+Reconstruction asks for the same few entries' predictions far more often
+than training changes them, so each index's prediction is computed once
+and memoised until :meth:`PatternSequenceTable.train` changes the entry
+or the LRU evicts it.
 """
 
 from __future__ import annotations
@@ -40,9 +45,13 @@ class PatternSequenceTable:
         self.config = config
         self.blocks_per_region = blocks_per_region
         self._table: LRUTable[SpatialIndex, Dict[int, _BlockState]] = LRUTable(
-            config.pst_entries
+            config.pst_entries, on_evict=self._forget
         )
         self.trainings = 0
+        #: memoised ``predict``/``predict_offsets`` results of resident
+        #: entries; dropped whenever the entry is trained or evicted
+        self._steps: Dict[SpatialIndex, List[SequenceStep]] = {}
+        self._offsets: Dict[SpatialIndex, Set[int]] = {}
 
     def __contains__(self, index: SpatialIndex) -> bool:
         return index in self._table
@@ -59,6 +68,7 @@ class PatternSequenceTable:
         stable part of each pattern (§4.3).
         """
         self.trainings += 1
+        self._forget(index)
         observed = [
             e for e in elements if 0 <= e.offset < self.blocks_per_region
         ]
@@ -98,32 +108,51 @@ class PatternSequenceTable:
                 if entry[offset].counter <= 0:
                     del entry[offset]
 
+    def _forget(self, index: SpatialIndex, entry: object = None) -> None:
+        """Drop the memoised predictions of ``index`` (also the LRU
+        eviction callback, hence the unused ``entry``)."""
+        self._steps.pop(index, None)
+        self._offsets.pop(index, None)
+
     def predict(self, index: SpatialIndex) -> List[SequenceStep]:
-        """Predicted sequence for ``index``, in stored order."""
+        """Predicted sequence for ``index``, in stored order.
+
+        The returned list is shared with later calls: treat it as
+        read-only.
+        """
         entry = self._table.get(index)
         if entry is None:
             return []
-        threshold = self.config.predict_threshold
-        chosen = [
-            (state.position, offset, state.delta)
-            for offset, state in entry.items()
-            if state.counter >= threshold
-        ]
-        chosen.sort()
-        return [SequenceStep(offset=o, delta=d) for _, o, d in chosen]
+        steps = self._steps.get(index)
+        if steps is None:
+            threshold = self.config.predict_threshold
+            chosen = [
+                (state.position, offset, state.delta)
+                for offset, state in entry.items()
+                if state.counter >= threshold
+            ]
+            chosen.sort()
+            steps = [SequenceStep(offset=o, delta=d) for _, o, d in chosen]
+            self._steps[index] = steps
+        return steps
 
     def predict_offsets(self, index: SpatialIndex) -> Set[int]:
         """Predicted offsets only (used for the RMOB filtering decision).
 
         Runs once per off-chip read event, so it skips :meth:`predict`'s
         ordering and :class:`SequenceStep` construction — the set of
-        offsets meeting the threshold is the same either way.
+        offsets meeting the threshold is the same either way. The
+        returned set is shared with later calls: treat it as read-only.
         """
         entry = self._table.get(index)
         if entry is None:
             return set()
-        threshold = self.config.predict_threshold
-        return {
-            offset for offset, state in entry.items()
-            if state.counter >= threshold
-        }
+        offsets = self._offsets.get(index)
+        if offsets is None:
+            threshold = self.config.predict_threshold
+            offsets = {
+                offset for offset, state in entry.items()
+                if state.counter >= threshold
+            }
+            self._offsets[index] = offsets
+        return offsets

@@ -69,24 +69,40 @@ class Reconstructor:
         stream — the processor already has it).
         """
         result = ReconstructionResult()
-        slots: List[Optional[int]] = [None] * self.buffer_size
-        amap = self.address_map
+        size = self.buffer_size
+        slots: List[Optional[int]] = [None] * size
+        # slots filled so far, in placement order (phase 3 sorts them)
+        occupied: List[int] = []
+        place = self._place  # collisions and out-of-range positions only
+        placed_original = dropped = 0
 
         # phase 1: temporal skeleton — place the RMOB entries themselves
         entry_slots: List[Optional[int]] = []
         cursor = -1
         for i, entry in enumerate(entries):
             cursor = cursor + entry.delta + 1 if i else 0
-            placed = self._place(slots, cursor, entry.block, result)
-            entry_slots.append(placed)
+            if 0 <= cursor < size and slots[cursor] is None:
+                slots[cursor] = entry.block
+                occupied.append(cursor)
+                placed_original += 1
+                entry_slots.append(cursor)
+            else:
+                entry_slots.append(
+                    place(slots, cursor, entry.block, result, occupied)
+                )
 
         # phase 2: spatial expansion — interleave each entry's sequence
+        amap = self.address_map
+        predict = self.pst.predict
+        block_in_region = amap.block_in_region
+        region_shift = amap.region_block_bits
+        offset_mask = amap.blocks_per_region - 1
         for entry, anchor in zip(entries, entry_slots):
             if anchor is None:
                 continue
-            region = amap.region_of_block(entry.block)
-            index = (entry.pc, amap.offset_in_region(entry.block))
-            sequence = self.pst.predict(index)
+            region = entry.block >> region_shift
+            index = (entry.pc, entry.block & offset_mask)
+            sequence = predict(index)
             if not sequence:
                 continue
             result.regions[region] = index
@@ -94,24 +110,37 @@ class Reconstructor:
                 on_region(region, index)
             position = anchor
             for step in sequence:
-                position = position + step.delta + 1
-                if position >= self.buffer_size:
-                    result.dropped += 1
+                position += step.delta + 1
+                if not 0 <= position < size:
+                    dropped += 1
                     continue
-                block = amap.block_in_region(region, step.offset)
-                self._place(slots, position, block, result)
+                block = block_in_region(region, step.offset)
+                occupant = slots[position]
+                if occupant is None:
+                    slots[position] = block
+                    occupied.append(position)
+                    placed_original += 1
+                elif occupant == block:
+                    placed_original += 1
+                else:
+                    place(slots, position, block, result, occupied)
+        result.placed_original += placed_original
+        result.dropped += dropped
 
         # phase 3: emit in slot order, de-duplicated
         skip_block = entries[0].block if (entries and not include_first) else None
         seen = set()
-        for block in slots:
-            if block is None or block in seen:
+        blocks = result.blocks
+        occupied.sort()
+        for position in occupied:
+            block = slots[position]
+            if block in seen:
                 continue
             seen.add(block)
             if skip_block is not None and block == skip_block:
                 skip_block = None  # only skip its first occurrence
                 continue
-            result.blocks.append(block)
+            blocks.append(block)
         return result
 
     def _place(
@@ -120,13 +149,16 @@ class Reconstructor:
         position: int,
         block: int,
         result: ReconstructionResult,
+        occupied: List[int],
     ) -> Optional[int]:
-        """Place ``block`` at ``position``, searching +/-window on conflict."""
+        """Place ``block`` at ``position``, searching +/-window on conflict;
+        a newly filled slot is recorded in ``occupied``."""
         if position < 0 or position >= self.buffer_size:
             result.dropped += 1
             return None
         if slots[position] is None:
             slots[position] = block
+            occupied.append(position)
             result.placed_original += 1
             return position
         if slots[position] == block:
@@ -136,6 +168,7 @@ class Reconstructor:
             for candidate in (position + offset, position - offset):
                 if 0 <= candidate < self.buffer_size and slots[candidate] is None:
                     slots[candidate] = block
+                    occupied.append(candidate)
                     result.placed_adjacent += 1
                     return candidate
         result.dropped += 1

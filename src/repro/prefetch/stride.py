@@ -9,6 +9,7 @@ distinct strides it tracks (Table 1: "max 16 distinct strides").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.common.config import StrideConfig
 from repro.common.lru import LRUTable
@@ -32,7 +33,13 @@ class StridePrefetcher(Prefetcher):
     def __init__(self, config: StrideConfig = StrideConfig()) -> None:
         super().__init__()
         self.config = config
-        self._table: LRUTable[int, _StrideEntry] = LRUTable(config.table_entries)
+        self._table: LRUTable[int, _StrideEntry] = LRUTable(
+            config.table_entries, on_evict=self._evict
+        )
+        #: stride -> number of table entries holding it (non-zero strides
+        #: only); kept in step with every assign and eviction so the
+        #: distinct-stride cap is one dict probe, not a table scan
+        self._live: Dict[int, int] = {}
         self.stats = StatGroup("stride")
 
     def on_access(self, event: AccessEvent) -> None:
@@ -51,6 +58,10 @@ class StridePrefetcher(Prefetcher):
             if not self._stride_allowed(stride):
                 entry.confidence = 0
                 return
+            if entry.stride:
+                self._release(entry.stride)
+            live = self._live
+            live[stride] = live.get(stride, 0) + 1
             entry.stride = stride
             entry.confidence = 1
         if entry.confidence >= self.config.confidence_threshold:
@@ -58,9 +69,22 @@ class StridePrefetcher(Prefetcher):
             for step in range(1, self.config.degree + 1):
                 target_block = block + entry.stride * step
                 if target_block >= 0:
-                    self._request(target_block)
+                    self._request(target_block, target=TARGET_L1)
 
     def _stride_allowed(self, stride: int) -> bool:
         """Enforce the distinct-stride cap across the table."""
-        distinct = {e.stride for _, e in self._table.items() if e.stride != 0}
-        return stride in distinct or len(distinct) < self.config.max_distinct_strides
+        live = self._live
+        return stride in live or len(live) < self.config.max_distinct_strides
+
+    def _release(self, stride: int) -> None:
+        """One entry stopped holding ``stride``."""
+        live = self._live
+        count = live[stride] - 1
+        if count:
+            live[stride] = count
+        else:
+            del live[stride]
+
+    def _evict(self, pc: int, entry: _StrideEntry) -> None:
+        if entry.stride:
+            self._release(entry.stride)

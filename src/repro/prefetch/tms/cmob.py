@@ -74,14 +74,16 @@ class CircularMissBuffer:
         return self._ring[pos % self.capacity]
 
     def read_from(self, pos: int, count: int) -> List[MissEntry]:
-        """Up to ``count`` consecutive entries starting at ``pos``."""
-        out: List[MissEntry] = []
-        for p in range(pos, min(pos + count, self._head)):
-            entry = self.get(p)
-            if entry is None:
-                break
-            out.append(entry)
-        return out
+        """Up to ``count`` consecutive entries starting at ``pos``.
+
+        Every position from a resident ``pos`` up to the head is resident
+        too, so one validity check covers the whole run.
+        """
+        if not self._valid(pos):
+            return []
+        ring, capacity = self._ring, self.capacity
+        end = min(pos + count, self._head)
+        return [ring[p % capacity] for p in range(pos, end)]
 
     def _valid(self, pos: int) -> bool:
         return 0 <= pos < self._head and pos > self._head - self.capacity - 1

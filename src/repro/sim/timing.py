@@ -22,17 +22,17 @@ the coverage driver's definition of a covered miss.
 The model is an incremental consumer: :class:`TimingModel` takes one
 ``(access, service_class)`` pair at a time, so the coverage driver can
 feed it while walking a streaming :class:`~repro.trace.container.TraceSource`
-— no trace or service list is ever materialized. Completion times of
-accesses are retained only while they can still matter (an access whose
-completion is at or before the current clock can never delay a later
-dependent access), so peak memory is bounded by the in-flight window,
-not by trace length. :func:`simulate_timing` is the materialized
+— no trace or service list is ever materialized. A completion time at
+or before the current clock can never delay a later dependent access
+(the clock never runs backward), so completion times are swept out
+once the clock has passed them, every ``PRUNE_INTERVAL`` accesses: peak
+memory is bounded by that interval plus the in-flight window, not by
+trace length. :func:`simulate_timing` is the materialized
 convenience wrapper and produces bit-identical results by construction.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Dict, Sequence
 
@@ -48,6 +48,10 @@ from repro.sim.results import (
 )
 from repro.trace.container import Trace
 from repro.trace.events import MemoryAccess
+
+
+#: accesses between sweeps of passed completion times (bounds memory)
+PRUNE_INTERVAL = 1024
 
 
 def _latency_table(config: TimingConfig) -> Dict[str, int]:
@@ -68,8 +72,9 @@ class TimingModel:
     the :class:`TimingResult`. The model keeps O(1) state with respect
     to trace length: the reorder buffer is bounded by
     ``max_outstanding_misses``, and per-access completion times are
-    discarded as soon as the clock passes them (a completed access can
-    never stall a later dependent one).
+    swept out every ``PRUNE_INTERVAL`` accesses once the clock has
+    passed them (a completed access can never stall a later dependent
+    one).
 
     Args:
         config: latency/width/window parameters of the modelled core.
@@ -96,14 +101,17 @@ class TimingModel:
         self.prefetcher_name = prefetcher_name
         self.measure_from = measure_from
         self._latency = _latency_table(config)
-        #: completion time per still-relevant access index (in-flight only)
+        # per-access config reads, bound once: ``update`` runs per access
+        self._issue_width = config.issue_width
+        self._rob_window = config.rob_window
+        self._memory_latency = config.memory_latency
+        self._max_outstanding = config.max_outstanding_misses
+        #: completion time per access index: every access still in
+        #: flight, plus completed ones not yet swept out
         self._completion: Dict[int, float] = {}
-        #: min-heap of (completion, index) driving the pruning above
-        self._inflight: list = []
         self._rob: "deque[tuple[float, int]]" = deque()
         self._t = 0.0
-        self._instr_pos = 0
-        self._instructions = 0
+        self._instr_pos = 0  # instructions so far
         self._stall = 0.0
         self._warmup_cycles = 0.0
         self._warmup_instructions = 0
@@ -124,15 +132,13 @@ class TimingModel:
         """
         if self._finalized:
             raise RuntimeError("TimingModel.update() called after finalize()")
-        config = self.config
         i = self._count
         if i == self.measure_from:
             self._warmup_cycles = self._t
-            self._warmup_instructions = self._instructions
+            self._warmup_instructions = self._instr_pos
         instr_gap = access.instr_gap
         instr_pos = self._instr_pos + instr_gap
-        self._instructions += instr_gap
-        t = self._t + instr_gap / config.issue_width
+        t = self._t + instr_gap / self._issue_width
 
         # retire completed misses
         rob = self._rob
@@ -140,18 +146,22 @@ class TimingModel:
             rob.popleft()
         # reorder-window limit: the oldest incomplete miss blocks issue
         # once the front has run rob_window instructions past it
-        while rob and instr_pos - rob[0][1] > config.rob_window:
+        rob_window = self._rob_window
+        while rob and instr_pos - rob[0][1] > rob_window:
             stalled_until = rob.popleft()[0]
             if stalled_until > t:
                 self._stall += stalled_until - t
                 t = stalled_until
 
         # forget completions the clock has passed: a dependent access
-        # starting at or after t can no longer be delayed by them
+        # starting at or after t can no longer be delayed by them, so
+        # one that stays until the next sweep changes nothing
         completion = self._completion
-        inflight = self._inflight
-        while inflight and inflight[0][0] <= t:
-            completion.pop(heapq.heappop(inflight)[1], None)
+        if not i % PRUNE_INTERVAL:
+            completion = {
+                index: done for index, done in completion.items() if done > t
+            }
+            self._completion = completion
 
         lat = self._latency[service_class]
         start = t
@@ -162,12 +172,11 @@ class TimingModel:
                 start = dep_done  # stall-on-use: pointer chase
         done = start + lat
         completion[i] = done
-        heapq.heappush(inflight, (done, i))
         self._last_done = done
 
-        if lat >= config.memory_latency:
+        if lat >= self._memory_latency:
             rob.append((done, instr_pos))
-            if len(rob) > config.max_outstanding_misses:
+            if len(rob) > self._max_outstanding:
                 stalled_until = rob.popleft()[0]
                 if stalled_until > t:
                     self._stall += stalled_until - t
@@ -198,7 +207,7 @@ class TimingModel:
             workload=self.workload,
             prefetcher=self.prefetcher_name,
             cycles=max(0.0, cycles - self._warmup_cycles),
-            instructions=self._instructions - self._warmup_instructions,
+            instructions=self._instr_pos - self._warmup_instructions,
             memory_stall_cycles=self._stall,
         )
 

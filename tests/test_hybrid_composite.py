@@ -62,6 +62,29 @@ class TestComposite:
         assert pf.name == "stride+tms"
         assert pf.install_target == TARGET_SVB
 
+    def test_forwards_requests_held_by_a_nested_main(self):
+        # the hybrid keeps its requests in its two engines, not in its
+        # own queue: the composite must still see them as pending
+        def drive(pf):
+            blocks = [AMAP.block_in_region(r, 0) for r in (1, 2, 3)]
+            for i, b in enumerate(blocks):
+                pf.on_access(event(i, b, pc=0x10 + i))
+                pf.on_access(event(100 + i, AMAP.block_in_region(i + 1, 5),
+                                   pc=0x20 + i))
+            pf.on_l1_eviction(AMAP.block_in_region(1, 5))
+            pf.pop_requests()
+            pf.on_access(event(50, blocks[0], pc=0x10))
+
+        hybrid = NaiveHybridPrefetcher()
+        drive(hybrid)
+        composite = CompositePrefetcher(NaiveHybridPrefetcher())
+        drive(composite)
+        assert composite.has_pending()
+        expected = hybrid.pop_requests()
+        assert expected and composite.pop_requests() == expected
+        assert not composite.has_pending()
+        assert composite.pop_requests() == []
+
     def test_stride_requests_target_l1(self):
         pf = CompositePrefetcher(STeMSPrefetcher())
         for i, b in enumerate([100, 101, 102]):

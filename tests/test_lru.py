@@ -88,6 +88,20 @@ class TestLRUSet:
         assert s.add("z") == "x"
         assert len(s) == 2
 
+    def test_discard_present_member(self):
+        s = LRUSet(2)
+        s.add(1)
+        assert s.discard(1) is True
+        assert 1 not in s and len(s) == 0
+
+    def test_discard_absent_member(self):
+        s = LRUSet(2)
+        s.add(1)
+        assert s.discard(2) is False
+        assert s.discard(1) is True
+        assert s.discard(1) is False  # already removed
+        assert len(s) == 0
+
 
 @given(
     ops=st.lists(st.integers(min_value=0, max_value=20), max_size=300),

@@ -51,6 +51,24 @@ class TestPST:
         pst.train((1, 0), elements((40, 0), (4, 1)))
         assert [s.offset for s in pst.predict((1, 0))] == [4]
 
+    def test_predictions_follow_retraining(self):
+        pst = PatternSequenceTable(STeMSConfig(), 32)
+        pst.train((1, 0), elements((4, 0), (2, 1)))
+        assert [s.offset for s in pst.predict((1, 0))] == [4, 2]
+        assert pst.predict_offsets((1, 0)) == {2, 4}
+        # offset 2 goes unseen: its counter drops below the threshold
+        pst.train((1, 0), elements((4, 0)))
+        assert [s.offset for s in pst.predict((1, 0))] == [4]
+        assert pst.predict_offsets((1, 0)) == {4}
+
+    def test_evicted_index_predicts_nothing(self):
+        pst = PatternSequenceTable(STeMSConfig(pst_entries=1), 32)
+        pst.train((1, 0), elements((4, 0)))
+        assert pst.predict((1, 0)) and pst.predict_offsets((1, 0))
+        pst.train((2, 0), elements((5, 0)))  # displaces (1, 0)
+        assert pst.predict((1, 0)) == []
+        assert pst.predict_offsets((1, 0)) == set()
+
     def test_predict_offsets_set(self):
         pst = PatternSequenceTable(STeMSConfig(), 32)
         pst.train((1, 0), elements((4, 0), (2, 1)))
